@@ -10,8 +10,10 @@
 
 #include "src/common/check.h"
 #include "src/common/serialization.h"
+#include "src/common/text_artifact.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
@@ -87,8 +89,7 @@ GMorphOptions DefaultSearchOptions(double threshold, uint64_t seed) {
 
 std::string CacheDir() {
   static const std::string dir = [] {
-    const char* env = std::getenv("GMORPH_CACHE_DIR");
-    std::string d = env != nullptr ? env : "gmorph_bench_cache";
+    std::string d = ResolveCacheDir();
     std::error_code ec;
     std::filesystem::create_directories(d, ec);
     return d;
@@ -351,18 +352,6 @@ bool ReplayOrBeginRecord(const std::string& name) {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
 // Arms tracing/metrics from GMORPH_TRACE / GMORPH_METRICS once per process
 // and registers the metrics-snapshot trailer line. atexit ordering (LIFO)
 // puts the trailer before ReplayOrBeginRecord's transcript commit, so
@@ -386,16 +375,13 @@ void Json::Key(const std::string& key) {
   if (!body_.empty()) {
     body_ += ", ";
   }
-  body_ += '"';
-  body_ += JsonEscape(key);
-  body_ += "\": ";
+  obs::AppendJsonString(body_, key);
+  body_ += ": ";
 }
 
 Json& Json::Set(const std::string& key, const std::string& value) {
   Key(key);
-  body_ += '"';
-  body_ += JsonEscape(value);
-  body_ += '"';
+  obs::AppendJsonString(body_, value);
   return *this;
 }
 

@@ -38,8 +38,9 @@ struct PreparedBenchmark {
 
 PreparedBenchmark PrepareBenchmark(int index, uint64_t seed, int teacher_epochs = 6);
 
-// Directory for cross-binary caching (teacher checkpoints, search results).
-// GMORPH_CACHE_DIR overrides; default "gmorph_bench_cache" under the cwd.
+// Directory for cross-binary caching (teacher checkpoints, search results):
+// ResolveCacheDir(), so an empty GMORPH_CACHE_DIR counts as unset and the
+// default is "gmorph_bench_cache" under the cwd.
 std::string CacheDir();
 
 // Benchmark `index` with teachers trained once per process AND checkpointed

@@ -1,17 +1,13 @@
 #include "src/analysis/driver.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
 #include "src/analysis/dtype_analysis.h"
-#include "src/analysis/machine_verifier.h"
 #include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
-#include "src/analysis/quant_verifier.h"
 #include "src/analysis/rules.h"
-#include "src/analysis/tunedb_verifier.h"
 #include "src/common/artifact_header.h"
 #include "src/common/check.h"
 #include "src/common/config.h"
@@ -20,9 +16,15 @@
 #include "src/core/model_parser.h"
 #include "src/core/search_checkpoint.h"
 #include "src/data/benchmarks.h"
+#include "src/kernels/machine.h"
+#include "src/kernels/tune_db.h"
+#include "src/obs/json.h"
+#include "src/quant/recipe.h"
 
 namespace gmorph {
 namespace {
+
+using obs::JsonEscape;
 
 // One baseline entry: an exact (rule id, node path) pair a previous run
 // acknowledged. The file format is one finding per line — the rule id, one
@@ -80,40 +82,6 @@ bool MatchesAny(const std::string& rule_id, const std::vector<std::string>& patt
     }
   }
   return false;
-}
-
-// ---- JSON string escaping (shared by the JSON and SARIF renderers) ---------
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 const char* SarifLevel(Severity severity) {
@@ -262,13 +230,13 @@ AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& optio
     diags = VerifyCheckpointFile(path);
   } else if (kind == kTuneDbArtifact.kind) {
     report.input_kind = "tunedb";
-    diags = VerifyTuneDbFile(path);
+    diags = kernels::VerifyTuneDbFile(path);
   } else if (kind == kMachineArtifact.kind) {
     report.input_kind = "machine";
-    diags = VerifyMachineFile(path);
+    diags = kernels::VerifyMachineFile(path);
   } else if (kind == kQuantRecipeArtifact.kind) {
     report.input_kind = "quantrecipe";
-    diags = VerifyQuantRecipeFile(path);
+    diags = quant::VerifyQuantRecipeFile(path);
   } else {
     // Fall back to treating the file as a search config naming a benchmark
     // (or an input_graph to load).

@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/graph_verifier.h"
 #include "src/analysis/mem_analysis.h"
 #include "src/analysis/plan_ir.h"

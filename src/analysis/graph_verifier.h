@@ -29,7 +29,7 @@
 #ifndef GMORPH_SRC_ANALYSIS_GRAPH_VERIFIER_H_
 #define GMORPH_SRC_ANALYSIS_GRAPH_VERIFIER_H_
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/core/abs_graph.h"
 
 namespace gmorph {

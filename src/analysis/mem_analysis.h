@@ -30,7 +30,7 @@
 
 #include <cstdint>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/plan_ir.h"
 
 namespace gmorph {

@@ -5,14 +5,16 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/artifact_header.h"
+#include "src/common/text_artifact.h"
 
 namespace gmorph {
 namespace {
 
-std::optional<PlanOp> PlanOpFromName(const std::string& name) {
+std::optional<PlanOp> PlanOpFromName(std::string_view name) {
   for (PlanOp op : {PlanOp::kConv, PlanOp::kLinear, PlanOp::kMaxPool, PlanOp::kGlobalAvgPool,
                     PlanOp::kMeanPoolTokens, PlanOp::kBilinearResize, PlanOp::kTokenResize,
                     PlanOp::kModule}) {
@@ -34,51 +36,29 @@ std::string ShapeToken(const Shape& shape) {
   return os.str();
 }
 
-bool ParseShapeToken(const std::string& token, Shape& shape) {
+bool ParseShapeToken(std::string_view token, Shape& shape) {
   if (token == "scalar") {
     shape = Shape{};
     return true;
   }
   std::vector<int64_t> dims;
-  std::string part;
-  std::istringstream is(token);
-  while (std::getline(is, part, 'x')) {
-    try {
-      size_t used = 0;
-      dims.push_back(std::stoll(part, &used));
-      if (used != part.size()) {
-        return false;
-      }
-    } catch (...) {
+  while (true) {
+    const size_t x = token.find('x');
+    int64_t dim = 0;
+    if (dims.size() == 8 || !ParseNumber(token.substr(0, x), &dim)) {
       return false;
     }
-  }
-  if (dims.empty() || dims.size() > 8) {
-    return false;
+    dims.push_back(dim);
+    if (x == std::string_view::npos) {
+      break;
+    }
+    token.remove_prefix(x + 1);
   }
   shape = Shape(std::move(dims));
   return true;
 }
 
-// One `key=value` or bare-flag token off a plan line.
-struct Field {
-  std::string key;
-  std::string value;  // empty for bare flags
-};
-
-std::vector<Field> SplitFields(std::istringstream& is) {
-  std::vector<Field> fields;
-  std::string token;
-  while (is >> token) {
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      fields.push_back({token, ""});
-    } else {
-      fields.push_back({token.substr(0, eq), token.substr(eq + 1)});
-    }
-  }
-  return fields;
-}
+using Tokens = std::vector<std::string_view>;
 
 class Parser {
  public:
@@ -92,16 +72,15 @@ class Parser {
       if (hash != std::string::npos) {
         line.resize(hash);
       }
-      std::istringstream is(line);
-      std::string kw;
-      if (!(is >> kw)) {
+      const Tokens tokens = SplitTokens(line);
+      if (tokens.empty()) {
         continue;
       }
+      const std::string_view kw = tokens[0];
       if (!saw_header) {
-        std::string version;
-        std::string header = kw;
-        if (is >> version) {
-          header += " " + version;
+        std::string header(kw);
+        if (tokens.size() > 1) {
+          header.append(" ").append(tokens[1]);
         }
         if (CheckArtifactHeaderLine(header, kPlanArtifact) != HeaderCheck::kOk) {
           Err(lineno) << "expected header '" << ArtifactHeaderLine(kPlanArtifact) << "'";
@@ -111,16 +90,16 @@ class Parser {
         continue;
       }
       if (kw == "value") {
-        ParseValue(is, lineno);
+        ParseValue(tokens, lineno);
       } else if (kw == "step") {
-        ParseStep(is, lineno);
+        ParseStep(tokens, lineno);
       } else if (kw == "group") {
-        ParseGroup(is, lineno);
+        ParseGroup(tokens, lineno);
       } else if (kw == "buffer") {
-        ParseBuffer(is, lineno);
+        ParseBuffer(tokens, lineno);
       } else if (kw == "head") {
         int v = -1;
-        if (!(is >> v)) {
+        if (tokens.size() < 2 || !ParseNumber(tokens[1], &v)) {
           Err(lineno) << "head needs a value id";
         } else {
           result_.plan.head_values.push_back(v);
@@ -142,16 +121,6 @@ class Parser {
     return result_.diagnostics.Error("plan.io.parse", "line " + std::to_string(lineno));
   }
 
-  bool ParseInt(const std::string& text, int64_t& out) {
-    try {
-      size_t used = 0;
-      out = std::stoll(text, &used);
-      return used == text.size();
-    } catch (...) {
-      return false;
-    }
-  }
-
   // Ids must arrive dense so a typo'd id is a parse error, not a silent gap.
   template <typename T>
   bool Place(std::vector<T>& vec, int64_t id, int lineno, const char* what, T&& item) {
@@ -163,23 +132,25 @@ class Parser {
     return true;
   }
 
-  void ParseValue(std::istringstream& is, int lineno) {
+  // The id after a directive keyword; false when absent or not a number.
+  static bool ParseId(const Tokens& tokens, int64_t* id) {
+    return tokens.size() >= 2 && ParseNumber(tokens[1], id);
+  }
+
+  void ParseValue(const Tokens& tokens, int lineno) {
     int64_t id = -1;
-    std::string id_token;
-    if (!(is >> id_token) || !ParseInt(id_token, id)) {
+    if (!ParseId(tokens, &id)) {
       Err(lineno) << "value needs an id";
       return;
     }
     PlanValue v;
     bool have_shape = false;
-    for (const Field& f : SplitFields(is)) {
-      int64_t n = 0;
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      const Field f = SplitField(tokens[i]);
       if (f.key == "shape" && ParseShapeToken(f.value, v.shape)) {
         have_shape = true;
-      } else if (f.key == "alias" && ParseInt(f.value, n)) {
-        v.alias_of = static_cast<int>(n);
-      } else if (f.key == "buffer" && ParseInt(f.value, n)) {
-        v.buffer = static_cast<int>(n);
+      } else if (f.key == "alias" && ParseNumber(f.value, &v.alias_of)) {
+      } else if (f.key == "buffer" && ParseNumber(f.value, &v.buffer)) {
       } else if (f.key == "module" && f.value.empty()) {
         v.from_module = true;
       } else if (f.key == "head" && f.value.empty()) {
@@ -203,10 +174,9 @@ class Parser {
     Place(result_.plan.values, id, lineno, "value", std::move(v));
   }
 
-  void ParseStep(std::istringstream& is, int lineno) {
+  void ParseStep(const Tokens& tokens, int lineno) {
     int64_t seq = -1;
-    std::string seq_token;
-    if (!(is >> seq_token) || !ParseInt(seq_token, seq)) {
+    if (!ParseId(tokens, &seq)) {
       Err(lineno) << "step needs a sequence number";
       return;
     }
@@ -214,8 +184,8 @@ class Parser {
     bool have_kind = false;
     bool have_in = false;
     bool have_out = false;
-    for (const Field& f : SplitFields(is)) {
-      int64_t n = 0;
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      const Field f = SplitField(tokens[i]);
       if (f.key == "kind") {
         if (auto op = PlanOpFromName(f.value)) {
           s.kind = *op;
@@ -224,24 +194,18 @@ class Parser {
           Err(lineno) << "unknown step kind '" << f.value << "'";
           return;
         }
-      } else if (f.key == "group" && ParseInt(f.value, n)) {
-        s.group = static_cast<int>(n);
-      } else if (f.key == "in" && ParseInt(f.value, n)) {
-        s.in0 = static_cast<int>(n);
+      } else if (f.key == "group" && ParseNumber(f.value, &s.group)) {
+      } else if (f.key == "in" && ParseNumber(f.value, &s.in0)) {
         have_in = true;
-      } else if (f.key == "out" && ParseInt(f.value, n)) {
-        s.out = static_cast<int>(n);
+      } else if (f.key == "out" && ParseNumber(f.value, &s.out)) {
         have_out = true;
-      } else if (f.key == "skip" && ParseInt(f.value, n)) {
-        s.skip = static_cast<int>(n);
-      } else if (f.key == "node" && ParseInt(f.value, n)) {
-        s.node = static_cast<int>(n);
+      } else if (f.key == "skip" && ParseNumber(f.value, &s.skip)) {
+      } else if (f.key == "node" && ParseNumber(f.value, &s.node)) {
       } else if (f.key == "w" && ParseShapeToken(f.value, s.weight_shape)) {
-        // parsed in place
-      } else if (f.key == "stride" && ParseInt(f.value, s.stride)) {
-      } else if (f.key == "pad" && ParseInt(f.value, s.padding)) {
-      } else if (f.key == "pool_k" && ParseInt(f.value, s.pool_kernel)) {
-      } else if (f.key == "pool_s" && ParseInt(f.value, s.pool_stride)) {
+      } else if (f.key == "stride" && ParseNumber(f.value, &s.stride)) {
+      } else if (f.key == "pad" && ParseNumber(f.value, &s.padding)) {
+      } else if (f.key == "pool_k" && ParseNumber(f.value, &s.pool_kernel)) {
+      } else if (f.key == "pool_s" && ParseNumber(f.value, &s.pool_stride)) {
       } else if (f.key == "label") {
         s.label = f.value;
       } else if (f.key == "solver" && !f.value.empty()) {
@@ -268,18 +232,16 @@ class Parser {
     Place(result_.plan.steps, seq, lineno, "step", std::move(s));
   }
 
-  void ParseGroup(std::istringstream& is, int lineno) {
+  void ParseGroup(const Tokens& tokens, int lineno) {
     int64_t id = -1;
-    std::string id_token;
-    if (!(is >> id_token) || !ParseInt(id_token, id)) {
+    if (!ParseId(tokens, &id)) {
       Err(lineno) << "group needs an id";
       return;
     }
     PlanGroup g;
-    for (const Field& f : SplitFields(is)) {
-      int64_t n = 0;
-      if (f.key == "parent" && ParseInt(f.value, n)) {
-        g.parent = static_cast<int>(n);
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      const Field f = SplitField(tokens[i]);
+      if (f.key == "parent" && ParseNumber(f.value, &g.parent)) {
       } else {
         Err(lineno) << "bad group field '" << f.key << "'";
         return;
@@ -288,17 +250,17 @@ class Parser {
     Place(result_.plan.groups, id, lineno, "group", std::move(g));
   }
 
-  void ParseBuffer(std::istringstream& is, int lineno) {
+  void ParseBuffer(const Tokens& tokens, int lineno) {
     int64_t id = -1;
-    std::string id_token;
-    if (!(is >> id_token) || !ParseInt(id_token, id)) {
+    if (!ParseId(tokens, &id)) {
       Err(lineno) << "buffer needs an id";
       return;
     }
     PlanBuffer b;
     bool have_elems = false;
-    for (const Field& f : SplitFields(is)) {
-      if (f.key == "elems" && ParseInt(f.value, b.elems_per_sample)) {
+    for (size_t i = 2; i < tokens.size(); ++i) {
+      const Field f = SplitField(tokens[i]);
+      if (f.key == "elems" && ParseNumber(f.value, &b.elems_per_sample)) {
         have_elems = true;
       } else if (f.key == "dedicated" && f.value.empty()) {
         b.reusable = false;

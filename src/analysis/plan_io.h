@@ -22,7 +22,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/plan_ir.h"
 
 namespace gmorph {

@@ -37,7 +37,7 @@
 #ifndef GMORPH_SRC_ANALYSIS_PLAN_VERIFIER_H_
 #define GMORPH_SRC_ANALYSIS_PLAN_VERIFIER_H_
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/plan_ir.h"
 
 namespace gmorph {

@@ -55,7 +55,7 @@ const RuleInfo kRules[] = {
     {"machine.header", kErr, "missing gmorph-machine header line"},
     {"machine.missing", kErr, "required ceiling entry (threads/peak_gflops/triad_gbps) absent"},
     {"machine.open", kErr, "machine ceiling file cannot be opened"},
-    {"machine.value", kErr, "ceiling value is not positive finite"},
+    {"machine.value", kErr, "threads not an int in [1, INT_MAX], or a ceiling not positive finite"},
     {"machine.version", kErr, "unsupported machine artifact version"},
     {"plan.alias.cycle", kErr, "alias chain never reaches a non-alias root value"},
     {"plan.alias.shape", kErr, "alias reshapes to a different element count than its root"},

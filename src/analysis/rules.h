@@ -22,7 +22,7 @@
 #include <string_view>
 #include <vector>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 
 namespace gmorph {
 

@@ -20,9 +20,7 @@ struct ArtifactHeaderSpec {
   int version;
 };
 
-// The canonical artifacts. The per-subsystem string constants that predate
-// this helper (kernels::kTuneDbHeader, quant::kQuantRecipeHeader, ...) are
-// asserted equal to ArtifactHeaderLine(<spec>) in the unit tests.
+// The canonical artifacts; writers emit ArtifactHeaderLine(<spec>).
 inline constexpr ArtifactHeaderSpec kPlanArtifact{"gmorph-plan", 1};
 inline constexpr ArtifactHeaderSpec kTuneDbArtifact{"gmorph-tunedb", 1};
 inline constexpr ArtifactHeaderSpec kQuantRecipeArtifact{"gmorph-quant", 1};

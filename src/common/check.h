@@ -6,8 +6,8 @@
 // the same forms and compiles out under NDEBUG for hot inner loops.
 //
 // A failed check throws CheckError carrying the failing expression, location
-// and message as structured fields, so the static-analysis layer
-// (src/analysis/diagnostics.h) can convert fatal checks into the same
+// and message as structured fields, so the diagnostics engine
+// (src/common/diagnostics.h) can convert fatal checks into the same
 // Diagnostic records the verifiers emit — one reporting path for both.
 #ifndef GMORPH_SRC_COMMON_CHECK_H_
 #define GMORPH_SRC_COMMON_CHECK_H_

@@ -1,4 +1,4 @@
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 
 #include <sstream>
 

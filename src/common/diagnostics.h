@@ -1,14 +1,15 @@
 // Shared diagnostics engine for the static-analysis passes (GraphVerifier,
-// PlanVerifier) and the structured-error paths that feed them (graph
-// deserialization, fatal GMORPH_CHECK failures).
+// PlanVerifier), the text-artifact scans (tuning DB, quant recipe, machine
+// ceilings, evaluation cache), and the structured-error paths that feed them
+// (graph deserialization, fatal GMORPH_CHECK failures).
 //
 // A Diagnostic is one attributable finding: severity, a stable dotted rule id
 // (catalogued in DESIGN.md §5d), the graph/plan location it anchors to, and a
 // human-readable message. Verifiers append to a DiagnosticList instead of
 // asserting, so callers decide whether a violation is fatal (FusedEngine
 // construction), a rejected candidate (search), or a lint finding (CLI).
-#ifndef GMORPH_SRC_ANALYSIS_DIAGNOSTICS_H_
-#define GMORPH_SRC_ANALYSIS_DIAGNOSTICS_H_
+#ifndef GMORPH_SRC_COMMON_DIAGNOSTICS_H_
+#define GMORPH_SRC_COMMON_DIAGNOSTICS_H_
 
 #include <sstream>
 #include <string>
@@ -109,4 +110,4 @@ class DiagnosticList {
 
 }  // namespace gmorph
 
-#endif  // GMORPH_SRC_ANALYSIS_DIAGNOSTICS_H_
+#endif  // GMORPH_SRC_COMMON_DIAGNOSTICS_H_

@@ -5,6 +5,7 @@
 
 #include "src/analysis/driver.h"
 #include "src/common/check.h"
+#include "src/common/text_artifact.h"
 #include "src/obs/trace.h"
 
 namespace gmorph {

@@ -1,18 +1,19 @@
 #include "src/core/eval_cache.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
-#include "src/common/artifact_header.h"
+#include "src/common/text_artifact.h"
 #include "src/core/graph_io.h"
 
 namespace gmorph {
 namespace {
 
-const std::string kHeader = ArtifactHeaderLine(kEvalCacheArtifact);
+constexpr LineArtifact kEvalCacheFile{kEvalCacheArtifact, "cache", "evaluation cache"};
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -44,127 +45,92 @@ std::string EntryLine(const std::string& fingerprint, const EvaluationCache::Ent
   return os.str();
 }
 
-// Parses "key=value" where value ends at the next space. Returns false (and
-// does not advance) on key mismatch or malformed token.
-bool TakeField(std::istringstream& in, const char* key, std::string& value) {
-  std::string token;
-  if (!(in >> token)) {
-    return false;
-  }
-  const std::string prefix = std::string(key) + "=";
-  if (token.rfind(prefix, 0) != 0) {
-    return false;
-  }
-  value = token.substr(prefix.size());
-  return !value.empty();
+// A whole-token hex number, as FormatHex writes it.
+bool ParseHex(std::string_view token, uint64_t* out) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out, 16);
+  return !token.empty() && ec == std::errc() && ptr == end;
 }
 
-bool ParseBoolField(std::istringstream& in, const char* key, bool& out) {
-  std::string v;
-  if (!TakeField(in, key, v) || (v != "0" && v != "1")) {
+bool ParseFlag(std::string_view v, bool* out) {
+  if (v != "0" && v != "1") {
     return false;
   }
-  out = v == "1";
+  *out = v == "1";
   return true;
 }
 
-template <typename T>
-bool ParseNumField(std::istringstream& in, const char* key, T& out) {
-  std::string v;
-  if (!TakeField(in, key, v)) {
-    return false;
+bool ParseScores(std::string_view v, std::vector<double>* scores) {
+  scores->clear();
+  if (v == "-") {
+    return true;
   }
-  std::istringstream vs(v);
-  vs >> out;
-  return static_cast<bool>(vs) && vs.eof();
+  while (true) {
+    const size_t comma = v.find(',');
+    double score = 0.0;
+    if (!ParseNumber(v.substr(0, comma), &score)) {
+      return false;
+    }
+    scores->push_back(score);
+    if (comma == std::string_view::npos) {
+      return true;
+    }
+    v.remove_prefix(comma + 1);
+  }
 }
 
-// Parses one "entry ..." line (after the leading token). Returns false on any
-// syntax problem; `fingerprint` receives everything after "fp=".
+// Parses one "entry ..." line: the fields in writer order, then " fp=" and
+// the candidate fingerprint (which contains spaces, so it is split off
+// first). Returns false on any syntax problem.
 bool ParseEntryLine(const std::string& line, std::string& fingerprint,
                     EvaluationCache::Entry& e) {
-  // The fingerprint contains spaces, so split it off first at " fp=".
   const size_t fp_pos = line.find(" fp=");
   if (fp_pos == std::string::npos) {
     return false;
   }
   fingerprint = line.substr(fp_pos + 4);
-  if (fingerprint.empty()) {
+  const std::vector<std::string_view> tokens =
+      SplitTokens(std::string_view(line).substr(0, fp_pos));
+  constexpr std::string_view kKeys[] = {"met", "early", "epochs", "flops", "drop",
+                                        "lat", "ftsec",  "scores", "graph"};
+  constexpr size_t kFields = std::size(kKeys);
+  if (fingerprint.empty() || tokens.size() != kFields + 1 || tokens[0] != "entry") {
     return false;
   }
-  std::istringstream in(line.substr(0, fp_pos));
-  std::string head;
-  in >> head;
-  if (head != "entry") {
-    return false;
-  }
-  std::string scores;
-  std::string graph;
-  if (!ParseBoolField(in, "met", e.met_target) || !ParseBoolField(in, "early", e.terminated_early) ||
-      !ParseNumField(in, "epochs", e.epochs_run) || !ParseNumField(in, "flops", e.flops) ||
-      !ParseNumField(in, "drop", e.accuracy_drop) || !ParseNumField(in, "lat", e.latency_ms) ||
-      !ParseNumField(in, "ftsec", e.finetune_seconds) || !TakeField(in, "scores", scores) ||
-      !TakeField(in, "graph", graph)) {
-    return false;
-  }
-  e.graph_file = graph == "-" ? "" : graph;
-  e.task_scores.clear();
-  if (scores != "-") {
-    std::istringstream ss(scores);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      std::istringstream cs(cell);
-      double v = 0.0;
-      cs >> v;
-      if (!cs || !cs.eof()) {
-        return false;
-      }
-      e.task_scores.push_back(v);
-    }
-    if (e.task_scores.empty()) {
+  std::string_view v[kFields];
+  for (size_t i = 0; i < kFields; ++i) {
+    const Field f = SplitField(tokens[i + 1]);
+    if (f.key != kKeys[i] || f.value.empty()) {
       return false;
     }
+    v[i] = f.value;
   }
+  if (!ParseFlag(v[0], &e.met_target) || !ParseFlag(v[1], &e.terminated_early) ||
+      !ParseNumber(v[2], &e.epochs_run) || !ParseNumber(v[3], &e.flops) ||
+      !ParseNumber(v[4], &e.accuracy_drop) || !ParseNumber(v[5], &e.latency_ms) ||
+      !ParseNumber(v[6], &e.finetune_seconds) || !ParseScores(v[7], &e.task_scores)) {
+    return false;
+  }
+  e.graph_file = v[8] == "-" ? "" : std::string(v[8]);
   return true;
 }
 
-// Shared scan over one index file. `expected_options` null = accept any
-// options hash (the lint path); entries land in `out` keyed by fingerprint.
+// The one scan over an index file, shared by the constructor and the linter.
+// `expected_options` null = accept any options hash; entries land in `out`
+// keyed by fingerprint.
 void ScanIndexFile(const std::string& path, const uint64_t* expected_options,
                    std::map<std::string, EvaluationCache::Entry>* out, DiagnosticList& diags) {
-  std::ifstream in(path);
-  if (!in) {
-    diags.Error("cache.open", path) << "cannot open evaluation cache file";
+  LineRecordReader reader(path, kEvalCacheFile, diags);
+  if (!reader.ok()) {
     return;
   }
-  std::string line;
-  if (!std::getline(in, line)) {
-    diags.Error("cache.header", path) << "empty evaluation cache file";
-    return;
-  }
-  switch (CheckArtifactHeaderLine(line, kEvalCacheArtifact)) {
-    case HeaderCheck::kMissing:
-      diags.Error("cache.header", path) << "missing " << kEvalCacheArtifact.kind << " header";
-      return;
-    case HeaderCheck::kWrongVersion:
-      diags.Error("cache.version", path) << "unsupported cache version '" << line << "'";
-      return;
-    case HeaderCheck::kOk:
-      break;
-  }
-  int lineno = 1;
   bool saw_options = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const std::string where = path + ":" + std::to_string(lineno);
-    if (line.empty()) {
-      continue;
-    }
+  while (reader.Next()) {
+    const std::string& line = reader.line();
+    const std::string where = path + ":" + std::to_string(reader.lineno());
     if (line.rfind("options ", 0) == 0) {
       uint64_t hash = 0;
-      std::istringstream os(line.substr(8));
-      os >> std::hex >> hash;
-      if (!os) {
+      if (!ParseHex(std::string_view(line).substr(8), &hash)) {
         diags.Error("cache.options", where) << "malformed options hash";
         continue;
       }
@@ -200,23 +166,6 @@ void ScanIndexFile(const std::string& path, const uint64_t* expected_options,
 }
 
 }  // namespace
-
-uint64_t Fnv1aHash(std::string_view bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string EvaluationCache::ResolveDir(const std::string& override_dir) {
-  if (!override_dir.empty()) {
-    return override_dir;
-  }
-  const char* env = std::getenv("GMORPH_CACHE_DIR");
-  return env != nullptr && env[0] != '\0' ? env : "gmorph_bench_cache";
-}
 
 EvaluationCache::EvaluationCache(std::string dir, uint64_t options_hash)
     : dir_(std::move(dir)), options_hash_(options_hash) {
@@ -268,7 +217,8 @@ void EvaluationCache::Store(const std::string& fingerprint, const Entry& entry,
     return;
   }
   if (!header_written_) {
-    out << kHeader << "\n" << "options " << FormatHex(options_hash_) << "\n";
+    out << ArtifactHeaderLine(kEvalCacheArtifact) << "\n"
+        << "options " << FormatHex(options_hash_) << "\n";
     header_written_ = true;
   }
   out << EntryLine(fingerprint, stored) << "\n";
@@ -279,7 +229,14 @@ void EvaluationCache::Store(const std::string& fingerprint, const Entry& entry,
 DiagnosticList VerifyEvalCacheFile(const std::string& path) {
   DiagnosticList diags;
   std::map<std::string, EvaluationCache::Entry> entries;
-  ScanIndexFile(path, /*expected_options=*/nullptr, &entries, diags);
+  // An index named the way the cache names it ("evalcache_<hash>.txt") must
+  // carry that options hash, exactly as the cache itself expects.
+  const std::string name = std::filesystem::path(path).filename().string();
+  uint64_t named_options = 0;
+  const bool named = name.size() == 30 && name.rfind("evalcache_", 0) == 0 &&
+                     name.compare(26, 4, ".txt") == 0 &&
+                     ParseHex(std::string_view(name).substr(10, 16), &named_options);
+  ScanIndexFile(path, named ? &named_options : nullptr, &entries, diags);
   const std::string dir = std::filesystem::path(path).parent_path().string();
   for (const auto& [fingerprint, e] : entries) {
     if (e.graph_file.empty()) {

@@ -8,15 +8,15 @@
 // (AbsGraph::Fingerprint(), the same string the GraphVerifier round-trip
 // checks) under a namespace derived from the eval-relevant options hash, and
 // persists it as a "gmorph-evalcache v1" text file in the cache directory
-// (GMORPH_CACHE_DIR, default "gmorph_bench_cache") so outcomes survive the
-// process.
+// (ResolveCacheDir()) so outcomes survive the process.
 //
 // Safety: a lookup only reuses an entry whose stored fingerprint matches the
 // candidate's exactly (hash collisions cannot alias), and a stored trained
 // graph is reloaded through graph_io — which re-runs the GraphVerifier — and
 // must fingerprint-match the candidate, else the entry degrades to a miss.
 // Corrupt cache files surface as cache.* diagnostics (see VerifyEvalCacheFile
-// and `gmorph_cli --verify`), never as a crash or a poisoned search.
+// and `gmorph_cli --verify`), never as a crash or a poisoned search: the
+// constructor and the linter run the same index scan.
 #ifndef GMORPH_SRC_CORE_EVAL_CACHE_H_
 #define GMORPH_SRC_CORE_EVAL_CACHE_H_
 
@@ -24,16 +24,12 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/core/abs_graph.h"
 
 namespace gmorph {
-
-// FNV-1a over bytes; used for cache keys and option-namespace hashes.
-uint64_t Fnv1aHash(std::string_view bytes);
 
 class EvaluationCache {
  public:
@@ -72,10 +68,6 @@ class EvaluationCache {
   const std::string& index_path() const { return index_path_; }
   const DiagnosticList& load_diagnostics() const { return load_diagnostics_; }
 
-  // Resolves the cache directory: `override_dir` if non-empty, else
-  // $GMORPH_CACHE_DIR, else "gmorph_bench_cache".
-  static std::string ResolveDir(const std::string& override_dir);
-
  private:
   std::string dir_;
   uint64_t options_hash_ = 0;
@@ -85,9 +77,11 @@ class EvaluationCache {
   DiagnosticList load_diagnostics_;
 };
 
-// Lints one "gmorph-evalcache v1" file: header/entry syntax (cache.header,
-// cache.version, cache.options, cache.entry), referenced trained-graph files
-// (cache.graph), and the graph-fingerprint agreement (cache.fingerprint).
+// Lints one "gmorph-evalcache v1" file with the constructor's scan:
+// header/entry syntax (cache.header, cache.version, cache.options,
+// cache.entry; an index named "evalcache_<hash>.txt" must carry that options
+// hash), referenced trained-graph files (cache.graph), and the
+// graph-fingerprint agreement (cache.fingerprint).
 DiagnosticList VerifyEvalCacheFile(const std::string& path);
 
 }  // namespace gmorph

@@ -6,6 +6,7 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/parallel_for.h"
+#include "src/common/text_artifact.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timing.h"
@@ -164,7 +165,7 @@ GMorphResult GMorph::RunInternal(const SearchCheckpoint* resume) {
   const EvalOptions eval_options = MakeEvalOptions(options_);
   std::unique_ptr<EvaluationCache> cache;
   if (options_.use_eval_cache) {
-    cache = std::make_unique<EvaluationCache>(EvaluationCache::ResolveDir(options_.cache_dir),
+    cache = std::make_unique<EvaluationCache>(ResolveCacheDir(options_.cache_dir),
                                               HashEvalOptions(eval_options));
     if (options_.verbose && !cache->load_diagnostics().empty()) {
       GMORPH_LOG_INFO << "evaluation cache load reported:\n"

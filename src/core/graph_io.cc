@@ -105,13 +105,38 @@ class Reader {
       return false;
     }
     spec.type = static_cast<BlockType>(type);
-    for (int64_t* field : {&spec.in_channels, &spec.out_channels, &spec.kernel, &spec.stride,
-                           &spec.padding, &spec.pool_kernel, &spec.pool_stride, &spec.in_features,
-                           &spec.out_features, &spec.dim, &spec.heads, &spec.mlp_ratio,
-                           &spec.vocab, &spec.seq_len, &spec.image_size, &spec.patch}) {
+    // Bound spec fields so shape inference and capacity counting on a
+    // corrupted file can neither overflow int64 nor divide by zero: sizes up
+    // to 2^20, window fields up to 2^10, strides (divisors) at least 1.
+    constexpr int64_t kSize = int64_t{1} << 20;
+    constexpr int64_t kWindow = int64_t{1} << 10;
+    const struct {
+      int64_t* field;
+      int64_t lo;
+      int64_t hi;
+    } fields[] = {
+        {&spec.in_channels, 0, kSize},   {&spec.out_channels, 0, kSize},
+        {&spec.kernel, 0, kWindow},      {&spec.stride, 1, kWindow},
+        {&spec.padding, 0, kWindow},     {&spec.pool_kernel, 0, kWindow},
+        {&spec.pool_stride, 1, kWindow}, {&spec.in_features, 0, kSize},
+        {&spec.out_features, 0, kSize},  {&spec.dim, 0, kSize},
+        {&spec.heads, 0, kSize},         {&spec.mlp_ratio, 0, kWindow},
+        {&spec.vocab, 0, kSize},         {&spec.seq_len, 0, kSize},
+        {&spec.image_size, 0, kSize},    {&spec.patch, 0, kWindow},
+    };
+    for (const auto& [field, lo, hi] : fields) {
       if (!Pod(*field, "block spec")) {
         return false;
       }
+      if (*field < lo || *field > hi) {
+        Fail("io.bounds", "block spec: field value " + std::to_string(*field) + " outside [" +
+                              std::to_string(lo) + ", " + std::to_string(hi) + "]");
+        return false;
+      }
+    }
+    if (spec.type == BlockType::kPatchEmbed && spec.patch < 1) {
+      Fail("io.bounds", "block spec: patch embedding with patch size 0");
+      return false;
     }
     return ReadShapeChecked(spec.rescale_in, "rescale_in") &&
            ReadShapeChecked(spec.rescale_out, "rescale_out");

@@ -15,7 +15,7 @@
 #include <optional>
 #include <string>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/core/abs_graph.h"
 
 namespace gmorph {

@@ -1,12 +1,10 @@
 #include "src/core/search_checkpoint.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
-#include "src/common/artifact_header.h"
+#include "src/common/text_artifact.h"
 #include "src/core/graph_io.h"
 
 namespace gmorph {
@@ -294,12 +292,8 @@ CheckpointLoadResult LoadFromStream(std::istream& in, const std::string& path) {
 }  // namespace
 
 bool SaveCheckpoint(const std::string& path, const SearchCheckpoint& ckpt) {
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return false;
-    }
+  // A failed graph write leaves `out` bad, which fails the whole save.
+  return WriteFileAtomically(path, [&](std::ostream& out) {
     out << kHeader << "\n";
     WritePod(out, ckpt.options_hash);
     WritePod(out, static_cast<int64_t>(ckpt.next_iteration));
@@ -310,9 +304,7 @@ bool SaveCheckpoint(const std::string& path, const SearchCheckpoint& ckpt) {
     WriteScores(out, ckpt.teacher_scores);
 
     WriteBool(out, ckpt.found_improvement);
-    if (!SaveGraph(out, ckpt.best_graph)) {
-      return false;
-    }
+    SaveGraph(out, ckpt.best_graph);
     WritePod(out, ckpt.best_latency_ms);
     WritePod(out, ckpt.best_flops);
     WritePod(out, ckpt.best_cost);
@@ -351,9 +343,7 @@ bool SaveCheckpoint(const std::string& path, const SearchCheckpoint& ckpt) {
 
     WritePod(out, static_cast<int64_t>(ckpt.elites.size()));
     for (const SearchCheckpoint::EliteRecord& e : ckpt.elites) {
-      if (!SaveGraph(out, e.graph)) {
-        return false;
-      }
+      SaveGraph(out, e.graph);
       WritePod(out, e.cost);
       WritePod(out, e.accuracy_drop);
     }
@@ -368,16 +358,7 @@ bool SaveCheckpoint(const std::string& path, const SearchCheckpoint& ckpt) {
 
     WritePod(out, static_cast<int64_t>(ckpt.policy.iteration));
     WritePod(out, ckpt.policy.last_drop);
-    out.flush();
-    if (!out) {
-      return false;
-    }
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return false;
-  }
-  return true;
+  });
 }
 
 CheckpointLoadResult TryLoadCheckpoint(const std::string& path) {

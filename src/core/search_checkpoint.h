@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/core/gmorph.h"
 
 namespace gmorph {

@@ -1,14 +1,14 @@
 #include "src/kernels/machine.h"
 
-#include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <map>
+#include <string_view>
 #include <vector>
 
 #include "src/common/parallel_for.h"
+#include "src/common/text_artifact.h"
 #include "src/kernels/registry.h"
 #include "src/kernels/tune_db.h"
 #include "src/obs/timing.h"
@@ -70,89 +70,121 @@ MachineCeilings ProbeMachineCeilings() {
   return out;
 }
 
-bool ParseMachineEntryLine(const std::string& line, std::string* key, double* value,
-                           std::string* error) {
-  std::istringstream in(line);
-  std::string k;
-  double v = 0.0;
-  if (!(in >> k >> v)) {
-    *error = "malformed machine entry (want '<key> <value>'): '" + line + "'";
-    return false;
-  }
-  std::string trailing;
-  if (in >> trailing) {
-    *error = "trailing content after machine entry value: '" + trailing + "'";
-    return false;
-  }
-  if (k != "threads" && k != "peak_gflops" && k != "triad_gbps") {
-    *error = "unknown machine entry key '" + k + "'";
-    return false;
-  }
-  *key = k;
-  *value = v;
-  return true;
-}
+namespace {
 
-MachineLoadResult LoadMachineCeilings(const std::string& path) {
-  MachineLoadResult result;
-  std::ifstream in(path);
-  if (!in) {
-    return result;
+constexpr LineArtifact kMachineFile{kMachineArtifact, "machine", "machine ceiling"};
+
+// One pass over a machine-ceiling file, shared by the loader and the linter.
+struct MachineScan {
+  DiagnosticList diags;
+  MachineLoadResult loaded;  // values of the clean entry lines only
+};
+
+MachineScan ScanMachineFile(const std::string& path) {
+  MachineScan scan;
+  DiagnosticList& diags = scan.diags;
+  LineRecordReader reader(path, kMachineFile, diags);
+  if (!reader.ok()) {
+    return scan;
   }
-  std::string line;
-  if (!std::getline(in, line) || line != kMachineHeader) {
-    return result;
-  }
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    if (line.rfind("fingerprint ", 0) == 0) {
-      if (line.substr(12) != BuildFingerprint()) {
-        result.fingerprint_mismatch = true;
+  MachineLoadResult& loaded = scan.loaded;
+  std::map<std::string, int> first_line;  // key -> line that introduced it
+  bool saw_fingerprint = false;
+  while (reader.Next()) {
+    const std::string& line = reader.line();
+    if (line.rfind("fingerprint", 0) == 0) {
+      const FingerprintCheck check = CheckFingerprintLine(line, BuildFingerprint());
+      loaded.fingerprint_mismatch |= check != FingerprintCheck::kMatch;
+      if (saw_fingerprint) {
+        diags.Error("machine.fingerprint", reader.where()) << "repeated fingerprint line";
+      } else if (check == FingerprintCheck::kMalformed) {
+        diags.Error("machine.fingerprint", reader.where())
+            << "malformed fingerprint line (want 'fingerprint <16-hex>')";
+      } else if (check == FingerprintCheck::kMismatch) {
+        diags.Warning("machine.fingerprint", reader.where())
+            << "fingerprint " << line.substr(12) << " differs from this build ("
+            << BuildFingerprint() << "); this binary will re-probe";
       }
+      saw_fingerprint = true;
       continue;
     }
-    std::string key, error;
+    const std::vector<std::string_view> tokens = SplitTokens(line);
     double value = 0.0;
-    if (!ParseMachineEntryLine(line, &key, &value, &error)) {
-      continue;  // tolerant loader: the linter reports these
+    if (tokens.size() < 2 || !ParseNumber(tokens[1], &value)) {
+      diags.Error("machine.entry", reader.where())
+          << "malformed machine entry (want '<key> <value>'): '" << line << "'";
+      continue;
+    }
+    if (tokens.size() > 2) {
+      diags.Error("machine.entry", reader.where())
+          << "trailing content after machine entry value: '" << tokens[2] << "'";
+      continue;
+    }
+    const std::string key(tokens[0]);
+    bool clean = true;
+    int threads = 0;
+    if (key == "threads") {
+      if (!ParseNumber(tokens[1], &threads, 1)) {
+        diags.Error("machine.value", reader.where())
+            << "threads must be an integer in [1, " << INT_MAX << "], got " << tokens[1];
+        clean = false;
+      }
+    } else if (key == "peak_gflops" || key == "triad_gbps") {
+      if (!(value > 0.0) || !std::isfinite(value)) {
+        diags.Error("machine.value", reader.where())
+            << key << " must be positive finite, got " << value;
+        clean = false;
+      }
+    } else {
+      diags.Error("machine.entry", reader.where()) << "unknown machine entry key '" << key << "'";
+      continue;
+    }
+    const auto [it, inserted] = first_line.emplace(key, reader.lineno());
+    if (!inserted) {
+      diags.Error("machine.entry", reader.where())
+          << "repeated " << key << " entry (first at line " << it->second << ")";
+      continue;
+    }
+    if (!clean) {
+      continue;
     }
     if (key == "threads") {
-      result.ceilings.threads = static_cast<int>(value);
+      loaded.ceilings.threads = threads;
     } else if (key == "peak_gflops") {
-      result.ceilings.peak_gflops = value;
-    } else if (key == "triad_gbps") {
-      result.ceilings.triad_gbps = value;
+      loaded.ceilings.peak_gflops = value;
+    } else {
+      loaded.ceilings.triad_gbps = value;
     }
   }
-  result.ok = result.ceilings.valid();
-  return result;
+  if (!saw_fingerprint) {
+    diags.Warning("machine.fingerprint", path)
+        << "no fingerprint line; ceilings cannot be matched to a build";
+  }
+  for (const char* required : {"threads", "peak_gflops", "triad_gbps"}) {
+    if (first_line.find(required) == first_line.end()) {
+      diags.Error("machine.missing", path) << "required entry '" << required << "' absent";
+    }
+  }
+  loaded.ok = loaded.ceilings.valid();
+  return scan;
 }
 
+}  // namespace
+
+MachineLoadResult LoadMachineCeilings(const std::string& path) {
+  return ScanMachineFile(path).loaded;
+}
+
+DiagnosticList VerifyMachineFile(const std::string& path) { return ScanMachineFile(path).diags; }
+
 bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceilings) {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << kMachineHeader << "\n";
+  return WriteFileAtomically(path, [&](std::ostream& out) {
+    out << ArtifactHeaderLine(kMachineArtifact) << "\n";
     out << "fingerprint " << BuildFingerprint() << "\n";
     out << "threads " << ceilings.threads << "\n";
     out << "peak_gflops " << ceilings.peak_gflops << "\n";
     out << "triad_gbps " << ceilings.triad_gbps << "\n";
-    if (!out.good()) {
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);
-  return !ec;
+  });
 }
 
 MachineCeilings LoadOrProbeMachineCeilings(const std::string& path, bool* probed) {
@@ -179,11 +211,7 @@ std::string ResolveMachinePath(const std::string& override_path) {
   if (const char* env = std::getenv("GMORPH_MACHINE_DB"); env != nullptr && *env != '\0') {
     return env;
   }
-  std::string dir = "gmorph_bench_cache";
-  if (const char* env = std::getenv("GMORPH_CACHE_DIR"); env != nullptr && *env != '\0') {
-    dir = env;
-  }
-  return dir + "/gmorph.machine";
+  return ResolveCacheDir() + "/gmorph.machine";
 }
 
 }  // namespace gmorph::kernels

@@ -14,18 +14,25 @@
 //
 // The fingerprint is the tuning DB's BuildFingerprint() (compiler + flags +
 // target), so ceilings measured by a foreign build are re-probed rather than
-// trusted — -O0 "ceilings" would misclassify every step. The strict linter
-// (`gmorph_cli --verify`, machine.* rules) shares ParseMachineEntryLine with
-// the loader so the two can never drift.
+// trusted — -O0 "ceilings" would misclassify every step. One scan reads the
+// file for both the loader and the strict linter (`gmorph_cli --verify`):
+//
+//   machine.open / .header / .version   unreadable file or header
+//   machine.fingerprint  missing or foreign (warning), malformed or repeated
+//   machine.entry        malformed, unknown or repeated entry line
+//   machine.value        threads not an integer in [1, INT_MAX], or a ceiling
+//                        that is not positive finite
+//   machine.missing      a required entry is absent
+//
+// The loader keeps only the entry lines the linter finds clean.
 #ifndef GMORPH_SRC_KERNELS_MACHINE_H_
 #define GMORPH_SRC_KERNELS_MACHINE_H_
 
 #include <string>
 
-namespace gmorph::kernels {
+#include "src/common/diagnostics.h"
 
-inline constexpr char kMachineHeaderPrefix[] = "gmorph-machine";
-inline constexpr char kMachineHeader[] = "gmorph-machine v1";
+namespace gmorph::kernels {
 
 struct MachineCeilings {
   double peak_gflops = 0.0;  // best sustained f32 GEMM throughput
@@ -40,7 +47,8 @@ struct MachineCeilings {
 };
 
 // Runs both probes at the current kernel thread count (~a second of wall
-// time: a peak-seeking GEMM and a cache-busting triad, both median-of-N).
+// time: one 512^3 GEMM on the heuristic solver and a cache-busting triad,
+// both median-of-5).
 MachineCeilings ProbeMachineCeilings();
 
 struct MachineLoadResult {
@@ -49,11 +57,15 @@ struct MachineLoadResult {
   MachineCeilings ceilings;
 };
 
-// Tolerant loader (missing file is just !ok); the strict linter lives in
-// src/analysis/machine_verifier.
+// Tolerant loader: drops every line VerifyMachineFile reports, and is !ok
+// (a missing file included) unless all three ceilings survive.
 MachineLoadResult LoadMachineCeilings(const std::string& path);
 
-// Atomic save (tmp + rename), same discipline as the tuning DB.
+// The strict lint for `gmorph_cli --verify`: the loader's scan, returning
+// every finding as a machine.* diagnostic.
+DiagnosticList VerifyMachineFile(const std::string& path);
+
+// Atomic save, same discipline as the tuning DB.
 bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceilings);
 
 // Returns trusted cached ceilings when `path` holds a same-build artifact at
@@ -62,14 +74,8 @@ bool SaveMachineCeilings(const std::string& path, const MachineCeilings& ceiling
 MachineCeilings LoadOrProbeMachineCeilings(const std::string& path, bool* probed = nullptr);
 
 // Artifact location: `override_path` if non-empty, else $GMORPH_MACHINE_DB,
-// else "<cache dir>/gmorph.machine" next to the tuning DB ($GMORPH_CACHE_DIR
-// or gmorph_bench_cache).
+// else "<ResolveCacheDir()>/gmorph.machine", next to the tuning DB.
 std::string ResolveMachinePath(const std::string& override_path = "");
-
-// One "key value" entry line, shared with the analysis-layer linter. Valid
-// keys: threads, peak_gflops, triad_gbps.
-bool ParseMachineEntryLine(const std::string& line, std::string* key, double* value,
-                           std::string* error);
 
 }  // namespace gmorph::kernels
 

@@ -4,28 +4,19 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <map>
 #include <mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
-#include "src/common/artifact_header.h"
+#include "src/common/text_artifact.h"
 #include "src/kernels/registry.h"
 
 namespace gmorph::kernels {
 namespace {
 
-// FNV-1a, as used by the search checkpoints; good enough to distinguish
-// toolchains and cheap enough to run at static-init time.
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+constexpr LineArtifact kTuneDbFile{kTuneDbArtifact, "tune", "tuning DB"};
 
 std::string ComputeFingerprint() {
   std::ostringstream os;
@@ -56,8 +47,12 @@ std::string ComputeFingerprint() {
   os << "isa=scalar;";
 #endif
   os << "ptr=" << sizeof(void*) * 8;
+  // Fingerprints have always hashed from this basis (FNV's offset basis one
+  // digit short); another basis would orphan every tuning DB and machine
+  // file written so far.
+  constexpr uint64_t kFingerprintBasis = 1469598103934665603ull;
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, Fnv1a(os.str()));
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, Fnv1aHash(os.str(), kFingerprintBasis));
   return buf;
 }
 
@@ -67,34 +62,78 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
+// One pass over a tuning-DB file, shared by TuneDb::Load and VerifyTuneDbFile.
+struct TuneDbScan {
+  DiagnosticList diags;
+  bool header_ok = false;
+  bool fingerprint_mismatch = false;  // some fingerprint line is not this build's
+  int dropped = 0;                    // tune.entry and tune.solver lines
+  std::vector<std::pair<ProblemDesc, TuneDb::Entry>> entries;  // the rest, in file order
+};
 
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
+TuneDbScan ScanTuneDbFile(const std::string& path) {
+  TuneDbScan scan;
+  LineRecordReader reader(path, kTuneDbFile, scan.diags);
+  scan.header_ok = reader.ok();
+  if (!reader.ok()) {
+    return scan;
   }
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return false;
+  DiagnosticList& diags = scan.diags;
+  std::map<ProblemDesc, int> first_line;  // desc -> line that introduced it
+  bool saw_fingerprint = false;
+  while (reader.Next()) {
+    const std::string& line = reader.line();
+    if (line.rfind("fingerprint", 0) == 0) {
+      const FingerprintCheck check = CheckFingerprintLine(line, BuildFingerprint());
+      scan.fingerprint_mismatch |= check != FingerprintCheck::kMatch;
+      if (saw_fingerprint) {
+        diags.Error("tune.fingerprint", reader.where()) << "repeated fingerprint line";
+      } else if (check == FingerprintCheck::kMalformed) {
+        diags.Error("tune.fingerprint", reader.where())
+            << "malformed fingerprint line (want 'fingerprint <16-hex>')";
+      } else if (check == FingerprintCheck::kMismatch) {
+        diags.Warning("tune.fingerprint", reader.where())
+            << "fingerprint " << line.substr(12) << " differs from this build ("
+            << BuildFingerprint() << "); this binary will ignore all entries";
+      }
+      saw_fingerprint = true;
+      continue;
+    }
+    ProblemDesc desc;
+    TuneDb::Entry entry;
+    std::string error;
+    if (!ParseTuneEntryLine(line, &desc, &entry, &error)) {
+      diags.Error("tune.entry", reader.where()) << error;
+      ++scan.dropped;
+      continue;
+    }
+    // Registry family is keyed by (op, dtype): int8 entries must name a
+    // qgemm.* solver, f32 entries a gemm.* one.
+    entry.resolved = SolverRegistry::Global().FindForDesc(desc, entry.solver);
+    if (entry.resolved == nullptr) {
+      diags.Error("tune.solver", reader.where())
+          << "solver '" << entry.solver << "' is not registered for " << OpFamilyName(desc.op)
+          << " " << DTypeName(desc.dtype);
+      ++scan.dropped;
+    } else if (!entry.resolved->IsApplicable(desc)) {
+      diags.Error("tune.applicable", reader.where())
+          << "solver '" << entry.solver << "' rejects " << ProblemKey(desc);
+    }
+    const auto [it, inserted] = first_line.emplace(desc, reader.lineno());
+    if (!inserted) {
+      diags.Error("tune.duplicate", reader.where())
+          << "duplicate entry for " << ProblemKey(desc) << " (first at line " << it->second
+          << "; the loader keeps the last)";
+    }
+    if (entry.resolved != nullptr) {
+      scan.entries.emplace_back(desc, std::move(entry));
+    }
   }
-  *out = v;
-  return true;
-}
-
-const Solver* ResolveName(const ProblemDesc& desc, const std::string& name) {
-  return SolverRegistry::Global().FindForDesc(desc, name);
+  if (!saw_fingerprint) {
+    diags.Warning("tune.fingerprint", path)
+        << "no fingerprint line; entries cannot be matched to a build";
+  }
+  return scan;
 }
 
 }  // namespace
@@ -106,28 +145,19 @@ const std::string& BuildFingerprint() {
 
 bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entry* entry,
                         std::string* error) {
-  std::istringstream is(line);
-  std::string tok;
-  is >> tok;
-  if (tok != "entry") {
+  const std::vector<std::string_view> tokens = SplitTokens(line);
+  if (tokens.empty() || tokens[0] != "entry") {
     *error = "expected 'entry'";
     return false;
   }
   ProblemDesc d;
   TuneDb::Entry e;
   bool have_op = false, have_m = false, have_k = false, have_n = false, have_threads = false;
-  while (is >> tok) {
-    const size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      *error = "bad token '" + tok + "'";
-      return false;
-    }
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    int64_t iv = 0;
+  for (size_t i = 1; i < tokens.size(); ++i) {
+    const auto [key, val] = SplitField(tokens[i]);
     if (key == "op") {
       if (!OpFamilyFromName(val, &d.op)) {
-        *error = "unknown op '" + val + "'";
+        *error = "unknown op '" + std::string(val) + "'";
         return false;
       }
       have_op = true;
@@ -135,35 +165,30 @@ bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entr
       // Optional: v1 DBs written before the dtype dimension carry no token
       // and load as f32 (the ProblemDesc default), so old files stay valid.
       if (!DTypeFromName(val, &d.dtype)) {
-        *error = "unknown dtype '" + val + "'";
+        *error = "unknown dtype '" + std::string(val) + "'";
         return false;
       }
-    } else if (key == "m" && ParseInt64(val, &d.m)) {
+    } else if (key == "m" && ParseNumber(val, &d.m, 1)) {
       have_m = true;
-    } else if (key == "k" && ParseInt64(val, &d.k)) {
+    } else if (key == "k" && ParseNumber(val, &d.k, 1)) {
       have_k = true;
-    } else if (key == "n" && ParseInt64(val, &d.n)) {
+    } else if (key == "n" && ParseNumber(val, &d.n, 1)) {
       have_n = true;
-    } else if (key == "aux0" && ParseInt64(val, &d.aux0)) {
-    } else if (key == "aux1" && ParseInt64(val, &d.aux1)) {
-    } else if (key == "threads" && ParseInt64(val, &iv) && iv >= 1) {
-      d.threads = static_cast<int>(iv);
+    } else if (key == "aux0" && ParseNumber(val, &d.aux0)) {
+    } else if (key == "aux1" && ParseNumber(val, &d.aux1)) {
+    } else if (key == "threads" && ParseNumber(val, &d.threads, 1)) {
       have_threads = true;
     } else if (key == "solver" && !val.empty()) {
       e.solver = val;
-    } else if (key == "gflops" && ParseDouble(val, &e.gflops)) {
-    } else if (key == "ms" && ParseDouble(val, &e.ms)) {
+    } else if (key == "gflops" && ParseNumber(val, &e.gflops)) {
+    } else if (key == "ms" && ParseNumber(val, &e.ms)) {
     } else {
-      *error = "bad entry field '" + tok + "'";
+      *error = "bad entry field '" + std::string(tokens[i]) + "'";
       return false;
     }
   }
   if (!have_op || !have_m || !have_k || !have_n || !have_threads || e.solver.empty()) {
     *error = "missing required field (op/m/k/n/threads/solver)";
-    return false;
-  }
-  if (d.m < 1 || d.k < 1 || d.n < 1) {
-    *error = "non-positive dimension";
     return false;
   }
   *desc = d;
@@ -186,76 +211,34 @@ std::string FormatTuneEntryLine(const ProblemDesc& desc, const TuneDb::Entry& en
   return os.str();
 }
 
+DiagnosticList VerifyTuneDbFile(const std::string& path) { return ScanTuneDbFile(path).diags; }
+
 TuneDb::LoadStats TuneDb::Load(const std::string& path) {
+  TuneDbScan scan = ScanTuneDbFile(path);
   LoadStats stats;
-  std::ifstream in(path);
-  if (!in) {
-    return stats;  // missing file: empty DB, not an error
+  stats.ok = scan.header_ok;
+  stats.skipped = scan.dropped;
+  stats.fingerprint_mismatch = scan.fingerprint_mismatch;
+  if (scan.fingerprint_mismatch) {
+    return stats;  // foreign build: keep nothing
   }
-  std::string line;
-  if (!std::getline(in, line) ||
-      CheckArtifactHeaderLine(line, kTuneDbArtifact) != HeaderCheck::kOk) {
-    return stats;
-  }
-  stats.ok = true;
-  bool usable = true;
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    if (line.rfind("fingerprint ", 0) == 0) {
-      if (line.substr(12) != BuildFingerprint()) {
-        stats.fingerprint_mismatch = true;
-        usable = false;  // foreign build: keep parsing nothing into the map
-      }
-      continue;
-    }
-    ProblemDesc desc;
-    Entry entry;
-    std::string error;
-    if (!ParseTuneEntryLine(line, &desc, &entry, &error)) {
-      ++stats.skipped;
-      continue;
-    }
-    if (!usable) {
-      continue;
-    }
-    entry.resolved = ResolveName(desc, entry.solver);
-    if (entry.resolved == nullptr) {
-      ++stats.skipped;  // solver unknown to this build
-      continue;
-    }
-    entries_[desc] = std::move(entry);
+  for (auto& [desc, entry] : scan.entries) {
+    entries_[desc] = std::move(entry);  // a later duplicate replaces an earlier one
     ++stats.entries;
   }
   return stats;
 }
 
 bool TuneDb::Save(const std::string& path) const {
-  std::error_code ec;
-  const std::filesystem::path target(path);
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      return false;
-    }
-    out << kTuneDbHeader << "\n";
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  return WriteFileAtomically(path, [&](std::ostream& out) {
+    out << ArtifactHeaderLine(kTuneDbArtifact) << "\n";
     out << "fingerprint " << BuildFingerprint() << "\n";
-    std::shared_lock<std::shared_mutex> lock(mutex_);
     for (const auto& [desc, entry] : entries_) {
       out << FormatTuneEntryLine(desc, entry) << "\n";
     }
-    if (!out.good()) {
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, target, ec);
-  return !ec;
+  });
 }
 
 const TuneDb::Entry* TuneDb::Lookup(const ProblemDesc& desc) const {
@@ -267,7 +250,7 @@ const TuneDb::Entry* TuneDb::Lookup(const ProblemDesc& desc) const {
 bool TuneDb::Contains(const ProblemDesc& desc) const { return Lookup(desc) != nullptr; }
 
 void TuneDb::Record(const ProblemDesc& desc, Entry entry) {
-  entry.resolved = ResolveName(desc, entry.solver);
+  entry.resolved = SolverRegistry::Global().FindForDesc(desc, entry.solver);
   std::unique_lock<std::shared_mutex> lock(mutex_);
   entries_[desc] = std::move(entry);
 }
@@ -291,11 +274,7 @@ std::string ResolveTuneDbPath(const std::string& override_path) {
   if (const char* env = std::getenv("GMORPH_TUNE_DB"); env != nullptr && *env != '\0') {
     return env;
   }
-  std::string dir = "gmorph_bench_cache";
-  if (const char* env = std::getenv("GMORPH_CACHE_DIR"); env != nullptr && *env != '\0') {
-    dir = env;
-  }
-  return dir + "/gmorph.tunedb";
+  return ResolveCacheDir() + "/gmorph.tunedb";
 }
 
 namespace {

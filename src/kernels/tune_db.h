@@ -11,9 +11,24 @@
 // Entries are content-addressed by the full problem descriptor (family, all
 // dims, thread count); the fingerprint line hashes the compiler, optimization
 // level, and target architecture, so a DB tuned by a different build is
-// ignored rather than trusted. Saves are atomic (tmp + rename), matching the
-// evaluation-cache discipline, and the default location sits next to the
-// eval cache ($GMORPH_CACHE_DIR, else gmorph_bench_cache/).
+// ignored rather than trusted. f32 entries carry no dtype= token; others do.
+// Saves are atomic (WriteFileAtomically), and the default location sits next
+// to the eval cache (ResolveCacheDir()).
+//
+// One scan reads the file for both the tolerant loader (TuneDb::Load) and the
+// strict linter (VerifyTuneDbFile, tune.* rules):
+//
+//   tune.open         cannot open the file
+//   tune.header       missing gmorph-tunedb header line
+//   tune.version      header names an unsupported format version
+//   tune.fingerprint  fingerprint differs from this build (warning: entries
+//                     are valid but this binary ignores them), or the
+//                     fingerprint line is malformed / repeated (error)
+//   tune.entry        entry line fails the grammar        (loader drops it)
+//   tune.solver       entry names an unregistered solver  (loader drops it)
+//   tune.applicable   named solver rejects the entry's problem descriptor
+//   tune.duplicate    two entries share one problem descriptor (the loader
+//                     keeps the last)
 //
 // Thread safety: Lookup takes a shared lock, Record an exclusive one, so a
 // serving process can keep resolving while an autotune pass records winners.
@@ -28,12 +43,10 @@
 #include <shared_mutex>
 #include <string>
 
+#include "src/common/diagnostics.h"
 #include "src/kernels/solver.h"
 
 namespace gmorph::kernels {
-
-inline constexpr char kTuneDbHeaderPrefix[] = "gmorph-tunedb";
-inline constexpr char kTuneDbHeader[] = "gmorph-tunedb v1";
 
 // Hash of the toolchain + target this binary was built with. Tuned winners
 // only transfer between identical builds.
@@ -54,18 +67,18 @@ class TuneDb {
   struct LoadStats {
     bool ok = false;      // file opened and header parsed
     int entries = 0;      // entries loaded
-    int skipped = 0;      // malformed or unresolvable lines dropped
+    int skipped = 0;      // tune.entry / tune.solver lines dropped
     bool fingerprint_mismatch = false;  // foreign build: entries ignored
   };
 
   TuneDb() = default;
 
-  // Loads `path`, dropping (not failing on) malformed lines; the strict
-  // linter lives in src/analysis/tunedb_verifier. A missing file is not an
-  // error — the DB just stays empty.
+  // Loads `path`, dropping (not failing on) the lines VerifyTuneDbFile
+  // reports as tune.entry or tune.solver. A missing file is not an error —
+  // the DB just stays empty.
   LoadStats Load(const std::string& path);
 
-  // Writes the full DB atomically (tmp + rename in the target directory).
+  // Writes the full DB atomically.
   bool Save(const std::string& path) const;
 
   const Entry* Lookup(const ProblemDesc& desc) const;
@@ -82,15 +95,17 @@ class TuneDb {
   std::map<ProblemDesc, Entry> entries_;
 };
 
-// One entry line, both directions. Shared with the analysis-layer linter so
-// the loader and the verifier can never drift on the format.
+// One entry line, both directions.
 bool ParseTuneEntryLine(const std::string& line, ProblemDesc* desc, TuneDb::Entry* entry,
                         std::string* error);
 std::string FormatTuneEntryLine(const ProblemDesc& desc, const TuneDb::Entry& entry);
 
+// The strict lint of a tuning-DB file for `gmorph_cli --verify`: the loader's
+// scan, returning every finding as a tune.* diagnostic.
+DiagnosticList VerifyTuneDbFile(const std::string& path);
+
 // DB location: `override_path` if non-empty, else $GMORPH_TUNE_DB, else
-// "<cache dir>/gmorph.tunedb" where the cache dir is $GMORPH_CACHE_DIR or
-// gmorph_bench_cache (the evaluation cache's resolution rule).
+// "<ResolveCacheDir()>/gmorph.tunedb", next to the evaluation cache.
 std::string ResolveTuneDbPath(const std::string& override_path = "");
 
 // The DB kernel resolution consults. Starts null (pure heuristic dispatch);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/obs/json.h"
 #include "src/obs/proc_stats.h"
 
 namespace gmorph::obs {
@@ -39,17 +40,6 @@ std::string FormatDouble(double v) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/obs/timing.h"
 
 namespace gmorph::obs {
@@ -91,34 +93,6 @@ ThreadRing* CurrentRing() {
     registry.rings.push_back(std::move(ring));
   }
   return t_ring;
-}
-
-void AppendJsonEscaped(std::string& out, const char* s, size_t len) {
-  for (size_t i = 0; i < len; ++i) {
-    const char c = s[i];
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 void AppendMicros(std::string& out, double us) {
@@ -323,16 +297,16 @@ std::string TraceToJson() {
     std::string name = ring->name.empty() ? "thread-" + std::to_string(ring->tid) : ring->name;
     out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += std::to_string(ring->tid);
-    out += ",\"args\":{\"name\":\"";
-    AppendJsonEscaped(out, name.data(), name.size());
-    out += "\"}}";
+    out += ",\"args\":{\"name\":";
+    AppendJsonString(out, name);
+    out += "}}";
   }
   for (const auto& [tid, name] : registry.virtual_lanes) {
     out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
     out += std::to_string(tid);
-    out += ",\"args\":{\"name\":\"";
-    AppendJsonEscaped(out, name.data(), name.size());
-    out += "\"}}";
+    out += ",\"args\":{\"name\":";
+    AppendJsonString(out, name);
+    out += "}}";
   }
 
   for (const auto& ring : registry.rings) {
@@ -340,9 +314,9 @@ std::string TraceToJson() {
     size_t dropped = 0;
     CollectRing(*ring, events, dropped);
     for (const TraceEvent* e : events) {
-      out += ",\n{\"name\":\"";
-      AppendJsonEscaped(out, e->name, e->name_len);
-      out += "\",\"cat\":\"";
+      out += ",\n{\"name\":";
+      AppendJsonString(out, std::string_view(e->name, e->name_len));
+      out += ",\"cat\":\"";
       out += TraceCatName(e->cat);
       out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
       out += std::to_string(e->virtual_tid >= 0 ? e->virtual_tid : ring->tid);

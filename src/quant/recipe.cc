@@ -1,47 +1,23 @@
 #include "src/quant/recipe.h"
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <map>
 #include <sstream>
+#include <string_view>
 
-#include "src/common/artifact_header.h"
+#include "src/common/text_artifact.h"
 
 namespace gmorph::quant {
 namespace {
+
+constexpr LineArtifact kRecipeFile{kQuantRecipeArtifact, "quant", "quantization recipe"};
 
 // %.9g round-trips any float32 exactly through text.
 std::string FormatFloat(float v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(v));
   return buf;
-}
-
-bool ParseInt64(const std::string& s, int64_t* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseFloat(const std::string& s, float* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const float v = std::strtof(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 std::string SanitizeLabel(const std::string& label) {
@@ -52,6 +28,62 @@ std::string SanitizeLabel(const std::string& label) {
     }
   }
   return out;
+}
+
+// One pass over a recipe file, shared by LoadQuantRecipe and
+// VerifyQuantRecipeFile.
+struct RecipeScan {
+  DiagnosticList diags;
+  QuantRecipe recipe;   // every step line that parses, in file order
+  std::string refusal;  // why the loader refuses the file; empty when it loads
+};
+
+RecipeScan ScanRecipeFile(const std::string& path) {
+  RecipeScan scan;
+  DiagnosticList& diags = scan.diags;
+  LineRecordReader reader(path, kRecipeFile, diags);
+  if (!reader.ok()) {
+    const Diagnostic& d = diags.items().front();
+    scan.refusal = d.node_path + ": " + d.message;
+    return scan;
+  }
+  std::map<int64_t, int> first_line;  // seq -> line that introduced it
+  while (reader.Next()) {
+    StepQuantSpec spec;
+    std::string error;
+    std::string rule;
+    if (!ParseQuantStepLine(reader.line(), &spec, &error, &rule)) {
+      diags.Error(rule, reader.where()) << error;
+      if (scan.refusal.empty()) {
+        scan.refusal = reader.where() + ": " + error;
+      }
+      continue;
+    }
+    if (!(spec.in_q.scale > 0.0f) || !std::isfinite(spec.in_q.scale)) {
+      diags.Error("quant.scale", reader.where())
+          << "activation scale " << spec.in_q.scale
+          << " is not positive finite; dequant would produce zeros or NaN";
+    }
+    for (size_t c = 0; c < spec.w_scales.size(); ++c) {
+      const float ws = spec.w_scales[c];
+      if (!(ws > 0.0f) || !std::isfinite(ws)) {
+        diags.Error("quant.scale", reader.where())
+            << "weight scale for output channel " << c << " is " << ws
+            << "; per-channel scales must be positive finite";
+      }
+    }
+    const auto [it, inserted] = first_line.emplace(spec.seq, reader.lineno());
+    if (!inserted) {
+      diags.Error("quant.duplicate", reader.where())
+          << "duplicate spec for plan step seq=" << spec.seq << " (first at line " << it->second
+          << "; FindSeq resolves to the first)";
+    }
+    scan.recipe.steps.push_back(std::move(spec));
+  }
+  if (first_line.empty() && diags.empty()) {
+    diags.Warning("quant.entry", path) << "recipe has a valid header but no step lines";
+  }
+  return scan;
 }
 
 }  // namespace
@@ -65,58 +97,60 @@ const StepQuantSpec* QuantRecipe::FindSeq(int64_t seq) const {
   return nullptr;
 }
 
-bool ParseQuantStepLine(const std::string& line, StepQuantSpec* spec, std::string* error) {
-  std::istringstream is(line);
-  std::string tok;
-  is >> tok;
-  if (tok != "step") {
+bool ParseQuantStepLine(const std::string& line, StepQuantSpec* spec, std::string* error,
+                        std::string* rule) {
+  if (rule != nullptr) {
+    *rule = "quant.entry";
+  }
+  const std::vector<std::string_view> tokens = SplitTokens(line);
+  if (tokens.empty() || tokens[0] != "step") {
     *error = "expected 'step'";
     return false;
   }
   StepQuantSpec s;
   bool have_seq = false, have_kind = false, have_scale = false, have_zp = false,
        have_w = false;
-  while (is >> tok) {
-    const size_t eq = tok.find('=');
-    if (eq == std::string::npos) {
-      *error = "bad token '" + tok + "'";
-      return false;
-    }
-    const std::string key = tok.substr(0, eq);
-    const std::string val = tok.substr(eq + 1);
-    int64_t iv = 0;
-    if (key == "seq" && ParseInt64(val, &s.seq) && s.seq >= 0) {
+  for (size_t i = 1; i < tokens.size(); ++i) {
+    const auto [key, val] = SplitField(tokens[i]);
+    int64_t zp = 0;
+    if (key == "seq" && ParseNumber(val, &s.seq, 0)) {
       have_seq = true;
     } else if (key == "kind" && !val.empty()) {
       s.kind = val;
       have_kind = true;
     } else if (key == "label" && !val.empty()) {
       s.label = val;
-    } else if (key == "in_scale" && ParseFloat(val, &s.in_q.scale)) {
+    } else if (key == "in_scale" && ParseNumber(val, &s.in_q.scale)) {
       have_scale = true;
-    } else if (key == "in_zp" && ParseInt64(val, &iv) && iv >= 0 && iv <= 255) {
-      s.in_q.zero_point = static_cast<int32_t>(iv);
+    } else if (key == "in_zp" && ParseNumber(val, &zp)) {
+      if (zp < 0 || zp > 255) {
+        if (rule != nullptr) {
+          *rule = "quant.zp";
+        }
+        *error = "activation zero point " + std::to_string(zp) + " outside u8 range [0, 255]";
+        return false;
+      }
+      s.in_q.zero_point = static_cast<int32_t>(zp);
       have_zp = true;
     } else if (key == "w_scales" && !val.empty()) {
-      size_t pos = 0;
-      while (pos <= val.size()) {
-        const size_t comma = val.find(',', pos);
-        const std::string item =
-            val.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
+      std::string_view rest = val;
+      while (true) {
+        const size_t comma = rest.find(',');
+        const std::string_view item = rest.substr(0, comma);
         float f = 0.0f;
-        if (!ParseFloat(item, &f)) {
-          *error = "bad w_scales item '" + item + "'";
+        if (!ParseNumber(item, &f)) {
+          *error = "bad w_scales item '" + std::string(item) + "'";
           return false;
         }
         s.w_scales.push_back(f);
-        if (comma == std::string::npos) {
+        if (comma == std::string_view::npos) {
           break;
         }
-        pos = comma + 1;
+        rest.remove_prefix(comma + 1);
       }
       have_w = true;
     } else {
-      *error = "bad step field '" + tok + "'";
+      *error = "bad step field '" + std::string(tokens[i]) + "'";
       return false;
     }
   }
@@ -143,66 +177,29 @@ std::string FormatQuantStepLine(const StepQuantSpec& spec) {
 }
 
 bool SaveQuantRecipe(const QuantRecipe& recipe, const std::string& path, std::string* error) {
-  namespace fs = std::filesystem;
-  const fs::path target(path);
-  std::error_code ec;
-  if (target.has_parent_path()) {
-    fs::create_directories(target.parent_path(), ec);
-  }
-  const fs::path tmp = target.string() + ".tmp";
-  {
-    std::ofstream os(tmp);
-    if (!os) {
-      *error = "cannot open '" + tmp.string() + "' for writing";
-      return false;
-    }
-    os << kQuantRecipeHeader << "\n";
-    for (const StepQuantSpec& s : recipe.steps) {
-      os << FormatQuantStepLine(s) << "\n";
-    }
-    os.flush();
-    if (!os) {
-      *error = "write to '" + tmp.string() + "' failed";
-      return false;
-    }
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    *error = "rename to '" + path + "' failed: " + ec.message();
-    return false;
-  }
-  return true;
+  return WriteFileAtomically(
+      path,
+      [&](std::ostream& os) {
+        os << ArtifactHeaderLine(kQuantRecipeArtifact) << "\n";
+        for (const StepQuantSpec& s : recipe.steps) {
+          os << FormatQuantStepLine(s) << "\n";
+        }
+      },
+      error);
 }
 
 bool LoadQuantRecipe(const std::string& path, QuantRecipe* recipe, std::string* error) {
-  std::ifstream is(path);
-  if (!is) {
-    *error = "cannot open '" + path + "'";
+  RecipeScan scan = ScanRecipeFile(path);
+  if (!scan.refusal.empty()) {
+    *error = scan.refusal;
     return false;
   }
-  std::string line;
-  if (!std::getline(is, line) ||
-      CheckArtifactHeaderLine(line, kQuantRecipeArtifact) != HeaderCheck::kOk) {
-    *error = "bad header (want '" + ArtifactHeaderLine(kQuantRecipeArtifact) + "')";
-    return false;
-  }
-  QuantRecipe out;
-  int lineno = 1;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) {
-      continue;
-    }
-    StepQuantSpec spec;
-    std::string why;
-    if (!ParseQuantStepLine(line, &spec, &why)) {
-      *error = "line " + std::to_string(lineno) + ": " + why;
-      return false;
-    }
-    out.steps.push_back(std::move(spec));
-  }
-  *recipe = std::move(out);
+  *recipe = std::move(scan.recipe);
   return true;
+}
+
+DiagnosticList VerifyQuantRecipeFile(const std::string& path) {
+  return ScanRecipeFile(path).diags;
 }
 
 }  // namespace gmorph::quant

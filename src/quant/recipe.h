@@ -8,9 +8,17 @@
 // `seq` is the step's index in the engine's lowered plan, `kind` names the op
 // family, `in_scale`/`in_zp` are the u8 asymmetric activation parameters and
 // `w_scales` the per-output-channel symmetric s8 weight scales. The format
-// mirrors the tunedb's key=value line discipline; the strict linter lives in
-// src/analysis/quant_verifier so the loader here only needs to be tolerant of
-// whitespace, not of corruption.
+// mirrors the tunedb's key=value line discipline; lines starting with '#' are
+// comments. One scan reads the file for both the loader and the strict linter
+// (`gmorph_cli --verify`):
+//
+//   quant.open / .header / .version   unreadable file or header
+//   quant.entry      step line fails the grammar (as a warning: no steps)
+//   quant.zp         activation zero point outside the u8 range [0, 255]
+//   quant.scale      in_scale or a per-channel weight scale is nonpositive or
+//                    nonfinite (would denormalize or NaN the dequant epilogue)
+//   quant.duplicate  two step lines share one plan seq (FindSeq resolves to
+//                    the first, so the later one is dead weight at best)
 #ifndef GMORPH_SRC_QUANT_RECIPE_H_
 #define GMORPH_SRC_QUANT_RECIPE_H_
 
@@ -18,12 +26,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/diagnostics.h"
 #include "src/quant/qparams.h"
 
 namespace gmorph::quant {
-
-inline constexpr char kQuantRecipeHeaderPrefix[] = "gmorph-quant";
-inline constexpr char kQuantRecipeHeader[] = "gmorph-quant v1";
 
 struct StepQuantSpec {
   int64_t seq = -1;
@@ -40,19 +46,24 @@ struct QuantRecipe {
   const StepQuantSpec* FindSeq(int64_t seq) const;
 };
 
-// One step line, both directions; shared with the analysis-layer linter so
-// writer and verifier cannot drift. Parse rejects malformed lines with a
-// human-readable reason; it does not enforce cross-line rules (duplicates),
-// which belong to the verifier.
-bool ParseQuantStepLine(const std::string& line, StepQuantSpec* spec, std::string* error);
+// One step line, both directions. Parse rejects a malformed line with a
+// human-readable reason and the rule it breaks (`*rule`, when given:
+// quant.zp for an out-of-range zero point, else quant.entry); cross-line
+// and value rules (duplicates, scales) belong to the file scan.
+bool ParseQuantStepLine(const std::string& line, StepQuantSpec* spec, std::string* error,
+                        std::string* rule = nullptr);
 std::string FormatQuantStepLine(const StepQuantSpec& spec);
 
-// Whole-file IO. Save is atomic (tmp + rename, the tunedb discipline). Load
-// fails (returns false) on a missing file, bad header, or any malformed step
-// line — a recipe drives numerics, so unlike the tunedb nothing is dropped
+// Whole-file IO. Save is atomic (the tunedb discipline). Load fails (returns
+// false) on a missing file, bad header, or any step line that does not parse
+// — a recipe drives numerics, so unlike the tunedb nothing is dropped
 // silently.
 bool SaveQuantRecipe(const QuantRecipe& recipe, const std::string& path, std::string* error);
 bool LoadQuantRecipe(const std::string& path, QuantRecipe* recipe, std::string* error);
+
+// The strict lint for `gmorph_cli --verify`: the loader's scan, returning
+// every finding as a quant.* diagnostic.
+DiagnosticList VerifyQuantRecipeFile(const std::string& path);
 
 }  // namespace gmorph::quant
 

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "src/obs/json.h"
 #include "src/obs/perf_counters.h"
 
 namespace gmorph {
@@ -36,14 +37,8 @@ void AppendJsonString(std::string& out, const char* key, const std::string& v, b
   *first = false;
   out += '"';
   out += key;
-  out += "\":\"";
-  for (const char c : v) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  out += '"';
+  out += "\":";
+  obs::AppendJsonString(out, v);
 }
 
 }  // namespace

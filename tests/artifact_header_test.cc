@@ -1,12 +1,9 @@
 // The shared "gmorph-<kind> vN" artifact header helper: formatting, strict
-// per-spec checking (the loaders and linters), generic parsing (the driver's
-// kind sniffer), and agreement with the legacy per-subsystem constants that
-// remain for external references.
+// per-spec checking (the loaders and linters), and generic parsing (the
+// driver's kind sniffer).
 #include <gtest/gtest.h>
 
 #include "src/common/artifact_header.h"
-#include "src/kernels/tune_db.h"
-#include "src/quant/recipe.h"
 
 namespace gmorph {
 namespace {
@@ -17,16 +14,6 @@ TEST(ArtifactHeaderTest, FormatsKindAndVersion) {
   EXPECT_EQ(ArtifactHeaderLine(kQuantRecipeArtifact), "gmorph-quant v1");
   EXPECT_EQ(ArtifactHeaderLine(kEvalCacheArtifact), "gmorph-evalcache v1");
   EXPECT_EQ(ArtifactHeaderLine(kCheckpointArtifact), "gmorph-checkpoint v1");
-}
-
-TEST(ArtifactHeaderTest, LegacyConstantsAgreeWithTheSharedSpecs) {
-  // tune_db.h and recipe.h keep their own constants for external references;
-  // they must stay byte-identical to what the shared helper emits.
-  EXPECT_EQ(std::string(kernels::kTuneDbHeader), ArtifactHeaderLine(kTuneDbArtifact));
-  EXPECT_EQ(std::string(quant::kQuantRecipeHeader), ArtifactHeaderLine(kQuantRecipeArtifact));
-  EXPECT_EQ(ArtifactHeaderLine(kTuneDbArtifact).rfind(kernels::kTuneDbHeaderPrefix, 0), 0u);
-  EXPECT_EQ(ArtifactHeaderLine(kQuantRecipeArtifact).rfind(quant::kQuantRecipeHeaderPrefix, 0),
-            0u);
 }
 
 TEST(ArtifactHeaderTest, CheckAcceptsExactHeader) {

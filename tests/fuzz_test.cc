@@ -1,21 +1,33 @@
 // Randomized stress tests: long mutation chains over every benchmark's graph
-// topology, executable-model construction on deeply mutated graphs, and
-// serialization fuzzing. These are the failure-injection counterpart of the
-// targeted unit tests.
+// topology, executable-model construction on deeply mutated graphs,
+// serialization fuzzing, and mutation fuzzing of every artifact loader and
+// linter pair. These are the failure-injection counterpart of the targeted
+// unit tests.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/driver.h"
 #include "src/analysis/graph_verifier.h"
+#include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/common/check.h"
+#include "src/common/text_artifact.h"
+#include "src/core/eval_cache.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
 #include "src/core/multitask_model.h"
 #include "src/core/mutation.h"
+#include "src/core/search_checkpoint.h"
 #include "src/data/benchmarks.h"
+#include "src/kernels/machine.h"
+#include "src/kernels/tune_db.h"
+#include "src/quant/recipe.h"
 #include "src/runtime/fused_engine.h"
 
 namespace gmorph {
@@ -165,6 +177,313 @@ TEST(SerializationFuzzTest, CorruptGraphsRejectedOrHarmless) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// ---- Artifact loader/linter mutation fuzzing ------------------------------
+//
+// Every text artifact has one scan shared by its tolerant loader and its
+// `gmorph_cli --verify` linter, so the linter must flag whatever the loader
+// drops or rejects. Seeds are fresh writer output (pinned byte for byte by
+// the golden files) plus the committed corrupt fixtures; each mutant gets one
+// seeded mutation. Every loader and linter must return on every mutant.
+
+std::string Testdata(const std::string& name) {
+  return std::string(GMORPH_TESTDATA_DIR) + "/" + name;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+std::string ArtifactDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "gmorph_artifact_fuzz_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Writer output with fixed contents, one file per line-record format. The
+// golden files in testdata pin these bytes.
+struct FreshArtifacts {
+  std::string tunedb, machine, recipe, evalcache;
+};
+
+FreshArtifacts WriteFreshArtifacts(const std::string& dir) {
+  FreshArtifacts out{dir + "/fresh.tunedb", dir + "/fresh.machine", dir + "/fresh.quantrecipe",
+                     ""};
+  kernels::TuneDb db;
+  kernels::ProblemDesc gemm = kernels::GemmProblem(kernels::OpFamily::kGemmNN, 8, 27, 1024);
+  gemm.threads = 4;
+  kernels::ProblemDesc pool = kernels::PoolProblem(64, 16, 16, 2, 2);
+  pool.threads = 1;
+  kernels::ProblemDesc qgemm = kernels::QGemmProblem(16, 64, 32);
+  qgemm.threads = 2;
+  db.Record(gemm, {"gemm.packed", 12.5, 0.125, nullptr});
+  db.Record(pool, {"pool.2x2s2", 3.25, 0.5, nullptr});
+  db.Record(qgemm, {"qgemm.ref", 1.0 / 3.0, 0.0001, nullptr});
+  EXPECT_TRUE(db.Save(out.tunedb));
+
+  kernels::MachineCeilings ceilings;
+  ceilings.threads = 3;
+  ceilings.peak_gflops = 38.123456789;
+  ceilings.triad_gbps = 11.7;
+  EXPECT_TRUE(kernels::SaveMachineCeilings(out.machine, ceilings));
+
+  quant::QuantRecipe recipe;
+  recipe.steps.push_back({0, "conv", "block 1/conv", {0.0123456789f, 14},
+                          {0.01f, 0.02f, 1.17549435e-38f}});
+  recipe.steps.push_back({3, "linear", "", {0.2f, 0}, {0.05f}});
+  recipe.steps.push_back({5, "conv", "a=b", {1.5f, 255}, {3.0f, 0.25f}});
+  std::string error;
+  EXPECT_TRUE(quant::SaveQuantRecipe(recipe, out.recipe, &error)) << error;
+
+  EvaluationCache cache(dir + "/cache", 0x2a);
+  EvaluationCache::Entry a;
+  a.terminated_early = true;
+  a.epochs_run = 2;
+  a.flops = 123456;
+  a.accuracy_drop = 0.01625;
+  a.latency_ms = 1.75;
+  a.finetune_seconds = 2.5;
+  a.task_scores = {0.875, 0.9375};
+  cache.Store("fp-alpha (toy graph)", a, nullptr);
+  EvaluationCache::Entry b;
+  b.accuracy_drop = 1.0 / 3.0;
+  b.latency_ms = 0.1;
+  cache.Store("fp-beta", b, nullptr);
+  out.evalcache = cache.index_path();
+  return out;
+}
+
+// The fingerprint hashes the toolchain, so goldens carry a fixed stand-in.
+std::string MaskFingerprint(const std::string& text) {
+  std::istringstream in(text);
+  std::string out;
+  std::string line;
+  while (std::getline(in, line)) {
+    out += line.rfind("fingerprint ", 0) == 0 ? "fingerprint 0000000000000000" : line;
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(ArtifactFuzzTest, FreshWriterOutputMatchesGoldens) {
+  const FreshArtifacts fresh = WriteFreshArtifacts(ArtifactDir("golden"));
+  EXPECT_EQ(MaskFingerprint(ReadFile(fresh.tunedb)), ReadFile(Testdata("golden_tunedb.txt")));
+  EXPECT_EQ(MaskFingerprint(ReadFile(fresh.machine)), ReadFile(Testdata("golden_machine.txt")));
+  EXPECT_EQ(ReadFile(fresh.recipe), ReadFile(Testdata("golden_quantrecipe.txt")));
+  EXPECT_EQ(ReadFile(fresh.evalcache), ReadFile(Testdata("golden_evalcache.txt")));
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) {
+    out += line + "\n";
+  }
+  return out;
+}
+
+// One seeded mutation: byte flips, a dropped or duplicated line, truncation,
+// or an extreme token in place of a whole token or of a key=value value.
+std::string Mutate(const std::string& seed, Rng& rng) {
+  static const char* const kExtremeTokens[] = {"1e300", "3000000000", "-1", "nan", "2.5", "#"};
+  std::string out = seed;
+  std::vector<std::string> lines = SplitLines(seed);
+  const int kind = rng.NextInt(5);
+  if (out.empty() || (kind >= 1 && lines.empty())) {
+    return out;
+  }
+  switch (kind) {
+    case 0:
+      for (int flips = 1 + rng.NextInt(3); flips > 0; --flips) {
+        out[static_cast<size_t>(rng.NextInt(static_cast<int>(out.size())))] =
+            static_cast<char>(rng.NextInt(256));
+      }
+      return out;
+    case 1:
+      lines.erase(lines.begin() + rng.NextInt(static_cast<int>(lines.size())));
+      return JoinLines(lines);
+    case 2: {
+      const size_t at = static_cast<size_t>(rng.NextInt(static_cast<int>(lines.size())));
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]);
+      return JoinLines(lines);
+    }
+    case 3:
+      out.resize(static_cast<size_t>(rng.NextInt(static_cast<int>(out.size()))));
+      return out;
+    default: {
+      std::string& line = lines[static_cast<size_t>(rng.NextInt(static_cast<int>(lines.size())))];
+      const std::vector<std::string_view> tokens = SplitTokens(line);
+      if (tokens.empty()) {
+        return out;
+      }
+      const std::string_view token = tokens[static_cast<size_t>(
+          rng.NextInt(static_cast<int>(tokens.size())))];
+      const size_t eq = token.find('=');
+      const size_t from = static_cast<size_t>(token.data() - line.data()) +
+                          (eq == std::string_view::npos ? 0 : eq + 1);
+      const size_t len = eq == std::string_view::npos ? token.size() : token.size() - eq - 1;
+      line.replace(from, len, kExtremeTokens[rng.NextInt(6)]);
+      return JoinLines(lines);
+    }
+  }
+}
+
+// Runs `check` on `mutants` mutations of every seed, each written to `path`.
+template <typename Check>
+void FuzzArtifact(const std::vector<std::string>& seeds, const std::string& path, int mutants,
+                  uint64_t rng_seed, Check check) {
+  Rng rng(rng_seed);
+  for (size_t s = 0; s < seeds.size(); ++s) {
+    for (int m = 0; m < mutants; ++m) {
+      const std::string mutant = Mutate(seeds[s], rng);
+      WriteFile(path, mutant);
+      SCOPED_TRACE("seed " + std::to_string(s) + " mutant " + std::to_string(m) + ":\n" +
+                   mutant);
+      check();
+      if (::testing::Test::HasFailure()) {
+        return;  // one reported mutant is enough
+      }
+    }
+  }
+}
+
+TEST(ArtifactFuzzTest, TuneDbLinterFlagsWhatTheLoaderDrops) {
+  const std::string dir = ArtifactDir("tunedb");
+  const std::string path = dir + "/mutant.tunedb";
+  FuzzArtifact({ReadFile(WriteFreshArtifacts(dir).tunedb),
+                ReadFile(Testdata("tunedb_corrupt.txt"))},
+               path, 500, 11, [&] {
+                 kernels::TuneDb db;
+                 const kernels::TuneDb::LoadStats stats = db.Load(path);
+                 const DiagnosticList lint = kernels::VerifyTuneDbFile(path);
+                 if (stats.skipped > 0 || !stats.ok) {
+                   EXPECT_FALSE(lint.ok()) << lint.ToString();
+                 }
+               });
+}
+
+TEST(ArtifactFuzzTest, QuantRecipeLinterFlagsWhatTheLoaderRejects) {
+  const std::string dir = ArtifactDir("recipe");
+  const std::string path = dir + "/mutant.quantrecipe";
+  FuzzArtifact({ReadFile(WriteFreshArtifacts(dir).recipe),
+                ReadFile(Testdata("quantrecipe_corrupt.txt"))},
+               path, 500, 13, [&] {
+                 quant::QuantRecipe recipe;
+                 std::string error;
+                 const bool loaded = quant::LoadQuantRecipe(path, &recipe, &error);
+                 const DiagnosticList lint = quant::VerifyQuantRecipeFile(path);
+                 if (!loaded) {
+                   EXPECT_FALSE(lint.ok()) << error << "\n" << lint.ToString();
+                 }
+               });
+}
+
+TEST(ArtifactFuzzTest, MachineLinterFlagsWhatTheLoaderDrops) {
+  const std::string dir = ArtifactDir("machine");
+  const std::string path = dir + "/mutant.machine";
+  FuzzArtifact({ReadFile(WriteFreshArtifacts(dir).machine),
+                ReadFile(Testdata("machine_corrupt.txt"))},
+               path, 500, 17, [&] {
+                 const kernels::MachineLoadResult loaded = kernels::LoadMachineCeilings(path);
+                 const DiagnosticList lint = kernels::VerifyMachineFile(path);
+                 if (!loaded.ok) {
+                   EXPECT_FALSE(lint.ok()) << lint.ToString();
+                 }
+               });
+}
+
+TEST(ArtifactFuzzTest, EvalCacheLinterFlagsWhatTheLoaderReports) {
+  const std::string dir = ArtifactDir("evalcache");
+  const FreshArtifacts fresh = WriteFreshArtifacts(dir);
+  const std::string cache_dir = dir + "/mutants";
+  std::filesystem::create_directories(cache_dir);
+  const std::string path = cache_dir + "/evalcache_000000000000002a.txt";
+  FuzzArtifact({ReadFile(fresh.evalcache), ReadFile(Testdata("evalcache_corrupt.txt"))}, path,
+               500, 19, [&] {
+                 EvaluationCache cache(cache_dir, 0x2a);
+                 const DiagnosticList lint = VerifyEvalCacheFile(path);
+                 if (!cache.load_diagnostics().empty()) {
+                   EXPECT_FALSE(lint.ok()) << cache.load_diagnostics().ToString() << "\n"
+                                           << lint.ToString();
+                 }
+               });
+}
+
+TEST(ArtifactFuzzTest, PlanTextParsesOrReportsAndParsedPlansVerify) {
+  const std::string dir = ArtifactDir("plan");
+  Rng model_rng(5);
+  MultiTaskModel model(GraphForBenchmark(1), model_rng);
+  FusedEngine engine(&model);
+  std::ostringstream fresh;
+  PlanToText(engine.ExportPlan(), fresh);
+  std::vector<std::string> seeds = {fresh.str()};
+  for (const char* fixture : {"plan_clean.plan", "plan_buffer_overlap.plan",
+                              "plan_dtype_int8_value.plan", "plan_mem_arena_short.plan"}) {
+    seeds.push_back(ReadFile(Testdata(fixture)));
+  }
+  const std::string path = dir + "/mutant.plan";
+  FuzzArtifact(seeds, path, 200, 23, [&] {
+    const PlanParseResult parsed = ParsePlanTextFile(path);
+    if (!parsed.ok()) {
+      bool has_io_rule = false;
+      for (const Diagnostic& d : parsed.diagnostics.items()) {
+        has_io_rule |= d.rule_id.rfind("plan.io.", 0) == 0;
+      }
+      EXPECT_TRUE(has_io_rule) << parsed.diagnostics.ToString();
+      return;
+    }
+    EXPECT_NO_THROW(RunPlanPasses(parsed.plan));
+  });
+}
+
+TEST(ArtifactFuzzTest, CheckpointLoaderAndLinterAgree) {
+  const std::string dir = ArtifactDir("checkpoint");
+  SearchCheckpoint ckpt;
+  ckpt.options_hash = 0x5eed;
+  ckpt.next_iteration = 3;
+  ckpt.teacher_scores = {0.75, 0.5};
+  ckpt.best_graph = GraphForBenchmark(1);
+  IterationRecord rec;
+  rec.iteration = 2;
+  rec.accuracy_drop = 0.03125;
+  ckpt.trace = {rec, rec};
+  ckpt.fingerprints = {"a", "bb"};
+  ckpt.elites.push_back({GraphForBenchmark(1), 12.0, 0.0625});
+  CapacitySignature sig;
+  sig.total = 10;
+  sig.per_task_total = {4, 6};
+  sig.per_task_specific = {2, 3};
+  ckpt.non_promising = {sig};
+  const std::string fresh = dir + "/fresh.ckpt";
+  ASSERT_TRUE(SaveCheckpoint(fresh, ckpt));
+  const std::string path = dir + "/mutant.ckpt";
+  FuzzArtifact({ReadFile(fresh), ReadFile(Testdata("checkpoint_corrupt.ckpt"))}, path, 300, 29,
+               [&] {
+                 const CheckpointLoadResult loaded = TryLoadCheckpoint(path);
+                 const DiagnosticList lint = VerifyCheckpointFile(path);
+                 EXPECT_EQ(loaded.ok(), lint.ok()) << lint.ToString();
+                 if (!loaded.ok()) {
+                   EXPECT_FALSE(loaded.diagnostics.ok());
+                 }
+               });
 }
 
 }  // namespace

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/tunedb_verifier.h"
+#include "src/common/artifact_header.h"
 #include "src/common/rng.h"
 #include "src/kernels/autotune.h"
 #include "src/kernels/registry.h"
@@ -41,6 +41,7 @@ using kernels::ProblemDesc;
 using kernels::ProblemKey;
 using kernels::SolverRegistry;
 using kernels::TuneDb;
+using kernels::VerifyTuneDbFile;
 
 void FillRandom(std::vector<float>& v, Rng& rng) {
   for (float& x : v) {
@@ -253,7 +254,7 @@ TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
   const std::string good =
       "entry op=gemm_nn m=4 k=4 n=4 aux0=0 aux1=0 threads=1 solver=gemm.ref gflops=1 ms=1";
   const std::string path = Write("tolerant.tunedb",
-                                 std::string(kernels::kTuneDbHeader) + "\n" +
+                                 ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                      "fingerprint " + kernels::BuildFingerprint() + "\n" +
                                      good + "\n" +
                                      "entry op=gemm_nn m=4 k=4 solver=gemm.ref\n" +      // missing fields
@@ -268,7 +269,7 @@ TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
 
   // A DB tuned by a different build parses but contributes nothing.
   const std::string foreign = Write("foreign.tunedb",
-                                    std::string(kernels::kTuneDbHeader) + "\n" +
+                                    ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                         "fingerprint 0123456789abcdef\n" + good + "\n");
   TuneDb db2;
   const TuneDb::LoadStats stats2 = db2.Load(foreign);
@@ -284,7 +285,7 @@ TEST_F(TuneDbFileTest, LoaderDropsMalformedLinesAndForeignFingerprints) {
 // tune.* rule id (the loader above only drops them silently).
 TEST_F(TuneDbFileTest, VerifierReportsRuleIds) {
   const std::string clean = Write("clean.tunedb",
-                                  std::string(kernels::kTuneDbHeader) + "\n" +
+                                  ArtifactHeaderLine(kTuneDbArtifact) + "\n" +
                                       "fingerprint " + kernels::BuildFingerprint() + "\n" +
                                       "entry op=gemm_nn m=4 k=4 n=4 aux0=0 aux1=0 threads=1 "
                                       "solver=gemm.ref gflops=1 ms=1\n");
@@ -298,18 +299,18 @@ TEST_F(TuneDbFileTest, VerifierReportsRuleIds) {
   // Foreign fingerprint: structurally valid, but a warning (this build
   // ignores the entries), so the list stays ok().
   const DiagnosticList foreign = VerifyTuneDbFile(
-      Write("fp.tunedb", std::string(kernels::kTuneDbHeader) + "\nfingerprint 0123456789abcdef\n"));
+      Write("fp.tunedb", ArtifactHeaderLine(kTuneDbArtifact) + "\nfingerprint 0123456789abcdef\n"));
   EXPECT_TRUE(foreign.HasRule("tune.fingerprint"));
   EXPECT_TRUE(foreign.ok());
   // Malformed fingerprint: an error.
   const DiagnosticList badfp = VerifyTuneDbFile(
-      Write("badfp.tunedb", std::string(kernels::kTuneDbHeader) + "\nfingerprint xyz\n"));
+      Write("badfp.tunedb", ArtifactHeaderLine(kTuneDbArtifact) + "\nfingerprint xyz\n"));
   EXPECT_TRUE(badfp.HasRule("tune.fingerprint"));
   EXPECT_FALSE(badfp.ok());
 
   const std::string corrupt = Write(
       "corrupt.tunedb",
-      std::string(kernels::kTuneDbHeader) + "\n" + "fingerprint " + kernels::BuildFingerprint() +
+      ArtifactHeaderLine(kTuneDbArtifact) + "\n" + "fingerprint " + kernels::BuildFingerprint() +
           "\n" +
           "entry op=gemm_nn m=8 k=27 n=1024 aux0=0 aux1=0 threads=4 solver=gemm.direct "
           "gflops=10 ms=0.03\n" +

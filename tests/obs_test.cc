@@ -329,6 +329,15 @@ TEST(MetricsRegistryTest, SnapshotIsWellFormedJson) {
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, SnapshotEscapesControlCharactersInNames) {
+  obs::Counter& c = obs::GetCounter("test.obs_ctl\n\x01" "end");
+  c.Increment();
+  const std::string json = obs::MetricsRegistry::Global().ToJson();
+  EXPECT_NE(json.find("\"test.obs_ctl\\n\\u0001end\":1"), std::string::npos) << json;
+  EXPECT_EQ(json.find("obs_ctl\n"), std::string::npos);
+  c.Reset();
+}
+
 TEST(ObsTimingTest, MonotonicNowAdvances) {
   const int64_t a = MonotonicNowNs();
   const int64_t b = MonotonicNowNs();

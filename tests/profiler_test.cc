@@ -13,7 +13,7 @@
 #include <fstream>
 #include <string>
 
-#include "src/analysis/machine_verifier.h"
+#include "src/common/artifact_header.h"
 #include "src/kernels/machine.h"
 #include "src/kernels/tune_db.h"
 #include "src/obs/metrics.h"
@@ -132,7 +132,7 @@ TEST(MachineCeilingsTest, ForeignFingerprintIsNotTrusted) {
   const std::string path = TempPath("foreign.machine");
   {
     std::ofstream out(path);
-    out << kernels::kMachineHeader << "\n"
+    out << ArtifactHeaderLine(kMachineArtifact) << "\n"
         << "fingerprint 0123456789abcdef\n"  // not this build's fingerprint
         << "threads 2\npeak_gflops 10\ntriad_gbps 5\n";
   }
@@ -147,16 +147,40 @@ TEST(MachineCeilingsTest, MissingFileIsJustNotOk) {
   EXPECT_FALSE(loaded.ok);
 }
 
-TEST(MachineCeilingsTest, ParseEntryLineValidatesKeysAndValues) {
-  std::string key, error;
-  double value = 0.0;
-  EXPECT_TRUE(kernels::ParseMachineEntryLine("peak_gflops 38.5", &key, &value, &error));
-  EXPECT_EQ(key, "peak_gflops");
-  EXPECT_DOUBLE_EQ(value, 38.5);
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("bogus_key 1.0", &key, &value, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("threads", &key, &value, &error));
-  EXPECT_FALSE(kernels::ParseMachineEntryLine("threads many", &key, &value, &error));
+// A same-build machine artifact whose entry lines are `body`.
+std::string WriteMachineFile(const char* name, const std::string& body) {
+  const std::string path = TempPath(name);
+  std::ofstream(path) << ArtifactHeaderLine(kMachineArtifact) << "\n"
+                      << "fingerprint " << kernels::BuildFingerprint() << "\n"
+                      << body;
+  return path;
+}
+
+TEST(MachineCeilingsTest, EntryLinesValidateKeysAndValues) {
+  const std::string clean = "threads 2\npeak_gflops 38.5\ntriad_gbps 9\n";
+  const kernels::MachineLoadResult loaded =
+      kernels::LoadMachineCeilings(WriteMachineFile("keys.machine", clean));
+  EXPECT_TRUE(loaded.ok);
+  EXPECT_DOUBLE_EQ(loaded.ceilings.peak_gflops, 38.5);
+  for (const char* bad : {"bogus_key 1.0\n", "threads\n", "threads many\n", "threads 2 x\n"}) {
+    const std::string path = WriteMachineFile("keys.machine", clean + bad);
+    EXPECT_TRUE(kernels::VerifyMachineFile(path).HasRule("machine.entry")) << bad;
+  }
+}
+
+// threads must be an integer >= 1 that fits in int: casting 2.5 to int
+// would load 2, and casting 3000000000 or 1e300 is undefined behaviour. The
+// loader drops such a line (so the artifact is re-probed) and the linter
+// reports machine.value.
+TEST(MachineCeilingsTest, ThreadsMustBeAnIntegerThatFitsInInt) {
+  for (const char* threads : {"2.5", "3000000000", "1e300", "0", "-1", "nan"}) {
+    const std::string path = WriteMachineFile(
+        "threads.machine", std::string("threads ") + threads + "\npeak_gflops 10\ntriad_gbps 5\n");
+    EXPECT_FALSE(kernels::LoadMachineCeilings(path).ok) << threads;
+    const DiagnosticList diags = kernels::VerifyMachineFile(path);
+    EXPECT_TRUE(diags.HasRule("machine.value")) << threads << "\n" << diags.ToString();
+    EXPECT_FALSE(diags.ok()) << threads;
+  }
 }
 
 TEST(MachineCeilingsTest, ResolveMachinePathPrefersOverride) {
@@ -170,14 +194,14 @@ TEST(MachineVerifierTest, CorruptArtifactFiresMachineRules) {
   const std::string path = TempPath("corrupt.machine");
   {
     std::ofstream out(path);
-    out << kernels::kMachineHeader << "\n"
+    out << ArtifactHeaderLine(kMachineArtifact) << "\n"
         << "fingerprint zz\n"          // malformed -> machine.fingerprint error
         << "threads -3\n"              // non-positive -> machine.value
         << "bogus 1.0\n"               // unknown key -> machine.entry
         << "threads 2\n";              // repeated key -> machine.entry
     // peak_gflops / triad_gbps absent -> machine.missing (twice)
   }
-  const DiagnosticList diags = VerifyMachineFile(path);
+  const DiagnosticList diags = kernels::VerifyMachineFile(path);
   int fingerprint = 0, value = 0, entry = 0, missing = 0;
   for (const Diagnostic& d : diags.items()) {
     if (d.rule_id == "machine.fingerprint") ++fingerprint;
@@ -199,7 +223,7 @@ TEST(MachineVerifierTest, SavedArtifactLintsClean) {
   ceilings.threads = 2;
   const std::string path = TempPath("clean.machine");
   ASSERT_TRUE(kernels::SaveMachineCeilings(path, ceilings));
-  const DiagnosticList diags = VerifyMachineFile(path);
+  const DiagnosticList diags = kernels::VerifyMachineFile(path);
   EXPECT_TRUE(diags.ok()) << diags.ToString();
   EXPECT_TRUE(diags.empty()) << diags.ToString();
 }
@@ -283,6 +307,15 @@ TEST(RooflineReportTest, TextAndJsonCarryTheFallbackContract) {
   // The label's quote must be escaped, or the JSON is invalid.
   EXPECT_NE(json.find("conv \\\"quoted\\\""), std::string::npos);
   EXPECT_EQ(json.find("conv \"quoted\""), std::string::npos);
+}
+
+TEST(RooflineReportTest, JsonEscapesControlCharactersInLabels) {
+  const std::vector<FusedEngine::StepProfile> profile = {
+      MakeStep("conv\n\x01" "end", 0, 2, 1.0, 1e6, 1e5),
+  };
+  const std::string json = RooflineReportJson(BuildRooflineReport(profile, TestCeilings(), 1, 2));
+  EXPECT_NE(json.find("\"label\":\"conv\\n\\u0001end\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("conv\n"), std::string::npos);
 }
 
 TEST(ProcStatsTest, ReadsProcessMemoryFromProc) {

@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/quant_verifier.h"
 #include "src/common/rng.h"
 #include "src/core/candidate_eval.h"
 #include "src/core/model_parser.h"
@@ -43,6 +42,7 @@ using kernels::ProblemKey;
 using kernels::QGemmCall;
 using kernels::QGemmSolver;
 using kernels::SolverRegistry;
+using quant::VerifyQuantRecipeFile;
 
 struct QGemmCase {
   int64_t m, k, n;

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/driver.h"
 #include "src/analysis/dtype_analysis.h"
 #include "src/analysis/graph_verifier.h"

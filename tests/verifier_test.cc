@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/analysis/diagnostics.h"
+#include "src/common/diagnostics.h"
 #include "src/analysis/graph_verifier.h"
 #include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
