@@ -447,4 +447,10 @@ std::string Fmt(double value, int precision) {
   return buf;
 }
 
+std::string BenchId(int index) {
+  // append, not `"B" + std::to_string(index)`: GCC 12 reports a false
+  // -Wrestrict on the inlined insert that operator+ performs.
+  return std::string("B").append(std::to_string(index));
+}
+
 }  // namespace gmorph::bench

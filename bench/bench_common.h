@@ -145,6 +145,9 @@ void PrintRow(const std::vector<std::string>& cells);
 
 std::string Fmt(double value, int precision = 2);
 
+// The benchmark id "B<index>" every table prints.
+std::string BenchId(int index);
+
 }  // namespace gmorph::bench
 
 #endif  // GMORPH_BENCH_BENCH_COMMON_H_

@@ -23,7 +23,7 @@ int main() {
     PrintRow({"Benchmark", "Orig MFLOP", "GMorph", "wP", "wP+R", "lat(ms)", "latFused",
               "latSpeedup"});
     for (int b = 1; b <= kNumBenchmarks; ++b) {
-      std::vector<std::string> row = {"B" + std::to_string(b)};
+      std::vector<std::string> row = {BenchId(b)};
       SearchSummary base;
       bool first = true;
       for (Variant v : variants) {

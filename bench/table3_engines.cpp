@@ -53,7 +53,7 @@ void PrintJson(int bench, const std::string& engine, const char* model, int64_t 
                const EngineSample& s) {
   gmorph::bench::EmitJsonLine(
       gmorph::bench::Json()
-          .Set("bench", "B" + std::to_string(bench))
+          .Set("bench", gmorph::bench::BenchId(bench))
           .Set("engine", engine)
           .Set("model", model)
           .Set("batch", batch)
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
                             *tune_db, kernels::AutotuneOptions());
     }
 
-    std::vector<std::string> row = {"B" + std::to_string(b)};
+    std::vector<std::string> row = {BenchId(b)};
     for (EngineKind kind : {EngineKind::kEager, EngineKind::kFused}) {
       auto engine_orig = MakeEngine(kind, &original_model);
       auto engine_best = MakeEngine(kind, &best_model);

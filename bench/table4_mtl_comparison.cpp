@@ -42,7 +42,7 @@ int main() {
     auto cell_speed = [](const MtlBaselineResult& r) {
       return r.feasible ? Fmt(r.flops_speedup) + "x" : std::string("-");
     };
-    PrintRow({"B" + std::to_string(b), cell_drop(all_shared), cell_speed(all_shared),
+    PrintRow({BenchId(b), cell_drop(all_shared), cell_speed(all_shared),
               cell_drop(tree_mtl), cell_speed(tree_mtl), Fmt(gm_drop * 100, 2) + "%",
               Fmt(gm.speedup) + "x"});
   }

@@ -44,7 +44,7 @@ int main() {
                    ? Fmt(100.0 * (1.0 - t / base.search_seconds), 0) + "%"
                    : std::string("-");
       };
-      PrintRow({"B" + std::to_string(b), Fmt(base.search_seconds, 1),
+      PrintRow({BenchId(b), Fmt(base.search_seconds, 1),
                 Fmt(p.search_seconds, 1), saving(p.search_seconds),
                 Fmt(pr.search_seconds, 1), saving(pr.search_seconds),
                 std::to_string(pr.candidates_finetuned),

@@ -142,6 +142,10 @@ DiagnosticList AnalyzePlanDtypes(const PlanIR& plan) {
       diags.Error("plan.dtype.step", StepPath(plan, s))
           << "kind " << PlanOpName(step.kind)
           << " has no int8 kernel; only conv/linear steps can execute quantized";
+    } else if (step.dtype == kernels::DType::kInt8 && step.kind == PlanOp::kLinear &&
+               step.skip >= 0) {
+      diags.Error("plan.dtype.step", StepPath(plan, s))
+          << "the int8 linear epilogue has no residual skip-add; this step must stay f32";
     }
     const Fact required = RequiredInputFact(step);
     for (int operand : {step.in0, step.skip}) {

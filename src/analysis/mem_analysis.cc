@@ -68,12 +68,12 @@ MemCertificate CertifyPlanMemory(const PlanIR& plan) {
     }
   }
 
-  // Only arena-resident roots occupy planned memory: the plan input and
-  // module outputs are external/dynamic, aliases borrow their root's bytes.
+  // Only arena-resident roots occupy planned memory: the plan input is
+  // external, aliases borrow their root's bytes.
   std::vector<int64_t> delta(static_cast<size_t>(S) + 1, 0);
   for (int v = 1; v < V; ++v) {
     const PlanValue& val = plan.values[static_cast<size_t>(v)];
-    if (val.alias_of >= 0 || val.from_module || val.buffer < 0 || val.buffer >= B) {
+    if (val.alias_of >= 0 || val.buffer < 0 || val.buffer >= B) {
       continue;
     }
     Interval& iv = live[static_cast<size_t>(v)];

@@ -17,7 +17,8 @@ namespace {
 std::optional<PlanOp> PlanOpFromName(std::string_view name) {
   for (PlanOp op : {PlanOp::kConv, PlanOp::kLinear, PlanOp::kMaxPool, PlanOp::kGlobalAvgPool,
                     PlanOp::kMeanPoolTokens, PlanOp::kBilinearResize, PlanOp::kTokenResize,
-                    PlanOp::kModule}) {
+                    PlanOp::kLayerNorm, PlanOp::kAttention, PlanOp::kPatchTokens,
+                    PlanOp::kEmbedding}) {
     if (PlanOpName(op) == name) {
       return op;
     }
@@ -151,8 +152,6 @@ class Parser {
         have_shape = true;
       } else if (f.key == "alias" && ParseNumber(f.value, &v.alias_of)) {
       } else if (f.key == "buffer" && ParseNumber(f.value, &v.buffer)) {
-      } else if (f.key == "module" && f.value.empty()) {
-        v.from_module = true;
       } else if (f.key == "head" && f.value.empty()) {
         v.is_head = true;
       } else if (f.key == "dtype") {
@@ -206,6 +205,7 @@ class Parser {
       } else if (f.key == "pad" && ParseNumber(f.value, &s.padding)) {
       } else if (f.key == "pool_k" && ParseNumber(f.value, &s.pool_kernel)) {
       } else if (f.key == "pool_s" && ParseNumber(f.value, &s.pool_stride)) {
+      } else if (f.key == "heads" && ParseNumber(f.value, &s.heads)) {
       } else if (f.key == "label") {
         s.label = f.value;
       } else if (f.key == "solver" && !f.value.empty()) {
@@ -218,7 +218,9 @@ class Parser {
           return;
         }
       } else if (f.key == "relu" && f.value.empty()) {
-        s.relu = true;
+        s.act = Activation::kRelu;
+      } else if (f.key == "gelu" && f.value.empty()) {
+        s.act = Activation::kGelu;
       } else {
         Err(lineno) << "bad step field '" << f.key << (f.value.empty() ? "" : "=") << f.value
                     << "'";
@@ -326,9 +328,6 @@ void PlanToText(const PlanIR& plan, std::ostream& out) {
     if (val.alias_of >= 0) {
       out << " alias=" << val.alias_of;
     }
-    if (val.from_module) {
-      out << " module";
-    }
     if (val.is_head) {
       out << " head";
     }
@@ -375,14 +374,19 @@ void PlanToText(const PlanIR& plan, std::ostream& out) {
     if (step.kind == PlanOp::kMaxPool) {
       out << " pool_k=" << step.pool_kernel << " pool_s=" << step.pool_stride;
     }
+    if (step.kind == PlanOp::kAttention) {
+      out << " heads=" << step.heads;
+    }
     if (!step.solver.empty()) {
       out << " solver=" << step.solver;  // registry names contain no spaces
     }
     if (step.dtype != kernels::DType::kF32) {
       out << " dtype=" << kernels::DTypeName(step.dtype);
     }
-    if (step.relu) {
+    if (step.act == Activation::kRelu) {
       out << " relu";
+    } else if (step.act == Activation::kGelu) {
+      out << " gelu";
     }
     out << "\n";
   }

@@ -5,17 +5,18 @@
 // Format (`gmorph-plan v1`):
 //
 //   gmorph-plan v1
-//   value <id> shape=AxBxC [alias=<id>] [module] [head] [buffer=<id>]
+//   value <id> shape=AxBxC [alias=<id>] [head] [buffer=<id>]
 //   step <seq> group=<g> kind=<name> in=<v> out=<v> [skip=<v>]
-//        [w=OxCxKhxKw] [stride=N] [pad=N] [relu] [pool_k=N] [pool_s=N]
+//        [w=OxCxKhxKw] [stride=N] [pad=N] [relu|gelu] [pool_k=N] [pool_s=N]
+//        [heads=N]
 //   group <id> parent=<p>
 //   buffer <id> elems=<n> [dedicated]
 //   head <value>
 //
 // Kind names: conv, linear, maxpool, gap, meanpool, resize, tokresize,
-// module. `#` starts a comment. Group step lists are derived from the steps'
-// own group= fields (in sequence order); group children from the parent
-// links. Ids must be dense from 0.
+// layernorm, attention, tokens, embed. `#` starts a comment. Group step
+// lists are derived from the steps' own group= fields (in sequence order);
+// group children from the parent links. Ids must be dense from 0.
 #ifndef GMORPH_SRC_ANALYSIS_PLAN_IO_H_
 #define GMORPH_SRC_ANALYSIS_PLAN_IO_H_
 

@@ -18,28 +18,31 @@
 
 #include "src/kernels/solver.h"
 #include "src/tensor/shape.h"
+#include "src/tensor/tensor_ops.h"
 
 namespace gmorph {
 
 enum class PlanOp {
   kConv,           // conv (+skip add)(+ReLU); weight (O,C,KH,KW)
-  kLinear,         // linear (+ReLU); weight (in_features, out_features)
+  kLinear,         // linear (+skip add)(+ReLU|GELU); weight (in_features, out_features)
   kMaxPool,
   kGlobalAvgPool,  // (C,H,W) -> (C)
   kMeanPoolTokens, // (T,D) -> (D)
   kBilinearResize, // (C,H,W) -> (C,H',W')
   kTokenResize,    // (T,D) -> (T',D)
-  kModule,         // opaque fallback; output allocated dynamically
+  kLayerNorm,      // (...,D) -> (...,D); weight = gamma (D)
+  kAttention,      // fused QKV (T,3D) -> (T,D) over `heads` heads
+  kPatchTokens,    // (D,G,G') -> (G*G',D) + positions; weight = positions (G*G',D)
+  kEmbedding,      // token ids (T) -> (T,D) + positions; weight = table (V,D)
 };
 
 std::string PlanOpName(PlanOp op);
 
 // One SSA-style activation. Aliases (flatten, identity rescale) carry no
-// buffer of their own; module outputs are bound dynamically (buffer -1).
+// buffer of their own; every other value except the input owns one.
 struct PlanValue {
   Shape shape;         // per-sample
   int alias_of = -1;   // value id this is a reshape view of
-  bool from_module = false;
   bool is_head = false;
   int buffer = -1;     // arena slot for planned root values
   // Storage dtype of the value's bytes in memory. Today every activation is
@@ -52,20 +55,21 @@ struct PlanValue {
 };
 
 struct PlanStep {
-  PlanOp kind = PlanOp::kModule;
+  PlanOp kind = PlanOp::kConv;
   int node = -1;       // originating graph node (for attribution only)
   std::string label;
   int in0 = -1;        // value ids
-  int skip = -1;       // residual skip input (kConv only)
+  int skip = -1;       // residual skip input (kConv / kLinear)
   int out = -1;
   int group = 0;
   // Kernel signature payload.
-  Shape weight_shape;  // kConv / kLinear
+  Shape weight_shape;  // kConv / kLinear / kLayerNorm / kPatchTokens / kEmbedding
   int64_t stride = 1;  // kConv
   int64_t padding = 0; // kConv
-  bool relu = false;
+  Activation act = Activation::kNone;  // epilogue (kConv: ReLU only)
   int64_t pool_kernel = 0;  // kMaxPool
   int64_t pool_stride = 0;  // kMaxPool
+  int64_t heads = 0;        // kAttention
   // Kernel solver resolved at plan time (registry name, e.g. "gemm.packed");
   // empty for untuned/legacy plans and for step kinds without a tunable
   // kernel. For kConv this names the solver of the per-sample im2col GEMM.

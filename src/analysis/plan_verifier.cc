@@ -25,8 +25,14 @@ std::string PlanOpName(PlanOp op) {
       return "resize";
     case PlanOp::kTokenResize:
       return "tokresize";
-    case PlanOp::kModule:
-      return "module";
+    case PlanOp::kLayerNorm:
+      return "layernorm";
+    case PlanOp::kAttention:
+      return "attention";
+    case PlanOp::kPatchTokens:
+      return "tokens";
+    case PlanOp::kEmbedding:
+      return "embed";
   }
   return "unknown";
 }
@@ -393,12 +399,6 @@ class PlanChecker {
                 << "produces " << Shape({w[0], oh, ow}).ToString() << " but output value is "
                 << out.ToString();
           }
-          if (step.skip >= 0 &&
-              plan_.values[static_cast<size_t>(step.skip)].shape != out) {
-            diags_.Error("plan.shape.skip", path)
-                << "skip input " << plan_.values[static_cast<size_t>(step.skip)].shape.ToString()
-                << " does not match output " << out.ToString();
-          }
           break;
         }
         case PlanOp::kLinear: {
@@ -460,8 +460,52 @@ class PlanChecker {
                 << in.ToString() << " -> " << out.ToString() << " is not a token resize";
           }
           break;
-        case PlanOp::kModule:
-          break;  // opaque
+        case PlanOp::kLayerNorm: {
+          const Shape& w = step.weight_shape;
+          if (w.Rank() != 1 || in.Rank() < 1 || in[-1] != w[0] || out != in) {
+            diags_.Error("plan.shape.layernorm", path)
+                << in.ToString() << " -> " << out.ToString() << " with gamma " << w.ToString()
+                << " is not a last-dim normalization";
+          }
+          break;
+        }
+        case PlanOp::kAttention: {
+          // Fused QKV (T, 3D) -> (T, D), with D split evenly over the heads.
+          const int64_t dim = in.Rank() == 2 ? in[1] / 3 : 0;
+          if (in.Rank() != 2 || dim <= 0 || in[1] != 3 * dim || step.heads <= 0 ||
+              dim % step.heads != 0 || out != Shape({in[0], dim})) {
+            diags_.Error("plan.shape.attention", path)
+                << in.ToString() << " -> " << out.ToString() << " over " << step.heads
+                << " heads is not (T,3D) -> (T,D) with D divisible by the heads";
+          }
+          break;
+        }
+        case PlanOp::kPatchTokens: {
+          // T = G*G' is checked by division: parsed dims can be large enough
+          // for the product to overflow.
+          const Shape& w = step.weight_shape;
+          if (in.Rank() != 3 || in[1] <= 0 || in[2] <= 0 || out.Rank() != 2 ||
+              out[1] != in[0] || out[0] % in[2] != 0 || out[0] / in[2] != in[1] || w != out) {
+            diags_.Error("plan.shape.tokens", path)
+                << in.ToString() << " -> " << out.ToString() << " with positions "
+                << w.ToString() << " is not (D,G,G') -> (G*G',D)";
+          }
+          break;
+        }
+        case PlanOp::kEmbedding: {
+          const Shape& w = step.weight_shape;
+          if (in.Rank() != 1 || w.Rank() != 2 || w[0] <= 0 || out != Shape({in[0], w[1]})) {
+            diags_.Error("plan.shape.embed", path)
+                << in.ToString() << " -> " << out.ToString() << " with table " << w.ToString()
+                << " is not (T) -> (T,D)";
+          }
+          break;
+        }
+      }
+      if (step.skip >= 0 && plan_.values[static_cast<size_t>(step.skip)].shape != out) {
+        diags_.Error("plan.shape.skip", path)
+            << "skip input " << plan_.values[static_cast<size_t>(step.skip)].shape.ToString()
+            << " does not match output " << out.ToString();
       }
     }
   }
@@ -562,13 +606,6 @@ class PlanChecker {
       if (val.alias_of >= 0) {
         continue;  // alias buffer ownership diagnosed in stage 2
       }
-      if (val.from_module) {
-        if (val.buffer >= 0) {
-          diags_.Error("plan.buffer.module", ValuePath(v))
-              << "module outputs are bound dynamically and must not own a buffer";
-        }
-        continue;
-      }
       if (val.buffer < 0) {
         diags_.Error("plan.buffer.unassigned", ValuePath(v))
             << "planned value without an arena buffer";
@@ -647,7 +684,7 @@ class PlanChecker {
       }
       const int b = plan_.values[static_cast<size_t>(r)].buffer;
       if (b < 0 || !has_def_[static_cast<size_t>(r)]) {
-        continue;  // dynamic root (module output) or already-diagnosed plan
+        continue;  // already-diagnosed plan
       }
       for (const Use& use : uses_[static_cast<size_t>(r)]) {
         if (use.via != v) {

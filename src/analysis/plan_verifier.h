@@ -24,12 +24,13 @@
 //   plan.buffer.overlap     two simultaneously-live values share a buffer
 //   plan.buffer.size        value does not fit its buffer exactly
 //   plan.buffer.head        head value not in a dedicated buffer
-//   plan.buffer.alias / plan.buffer.module / plan.buffer.unassigned
+//   plan.buffer.alias / plan.buffer.unassigned
 //                           buffer assignment on the wrong value class
 //   plan.head.flag          head_values entry not marked is_head
 //   plan.shape.*            step in/out shapes disagree with the kernel
 //                           signature (conv, linear, pool, gap, meanpool,
-//                           resize, tokresize, skip)
+//                           resize, tokresize, layernorm, attention, tokens,
+//                           embed, skip)
 //   plan.solver.kind        solver named on a step kind without a tunable
 //                           kernel
 //   plan.solver.unknown     solver name not in the kernel registry

@@ -63,7 +63,6 @@ const RuleInfo kRules[] = {
     {"plan.buffer.alias", kErr, "alias value owns a buffer (aliases share their root's)"},
     {"plan.buffer.head", kErr, "head output does not live alone in a dedicated buffer"},
     {"plan.buffer.index", kErr, "buffer reference out of range"},
-    {"plan.buffer.module", kErr, "module output owns an arena buffer (module outputs bind dynamically)"},
     {"plan.buffer.overlap", kErr, "two simultaneously live values share an arena buffer"},
     {"plan.buffer.size", kErr, "value's element count does not fit its buffer"},
     {"plan.buffer.unassigned", kErr, "planned value without an arena buffer"},
@@ -87,13 +86,17 @@ const RuleInfo kRules[] = {
     {"plan.mem.waste", kWarn, "arena exceeds the waste bound over the certified peak"},
     {"plan.race.cross_branch", kErr, "value read and written by unordered parallel branches"},
     {"plan.race.use_before_def", kErr, "value read before the step that defines it"},
+    {"plan.shape.attention", kErr, "attention shapes are not (T,3D) -> (T,D) with D divisible by the heads"},
     {"plan.shape.conv", kErr, "conv input/weight/output shape signature is inconsistent"},
+    {"plan.shape.embed", kErr, "embedding gather shapes are not (T) -> (T,D) over a (V,D) table"},
     {"plan.shape.gap", kErr, "global-average-pool shapes are not (C,H,W) -> (C)"},
+    {"plan.shape.layernorm", kErr, "layernorm output or gamma shape does not match its input"},
     {"plan.shape.linear", kErr, "linear input/weight/output shape signature is inconsistent"},
     {"plan.shape.meanpool", kErr, "token mean-pool shapes are not (T,D) -> (D)"},
     {"plan.shape.pool", kErr, "max-pool geometry does not produce the output shape"},
     {"plan.shape.resize", kErr, "bilinear resize shapes are not a spatial resize"},
-    {"plan.shape.skip", kErr, "residual skip input shape does not match the conv output"},
+    {"plan.shape.skip", kErr, "residual skip input shape does not match the step output"},
+    {"plan.shape.tokens", kErr, "patch-token layout shapes are not (D,G,G') -> (G*G',D)"},
     {"plan.shape.tokresize", kErr, "token resize shapes are not a token-count resize"},
     {"plan.solver.applicable", kErr, "annotated solver rejects the step's problem shape"},
     {"plan.solver.dtype", kErr, "step dtype is not defined for this kernel family"},

@@ -114,7 +114,7 @@ void QGemmPackedImpl(int64_t m, int64_t k, int64_t n, const uint8_t* a, const in
         }
       }
       for (; ir < row_hi; ++ir) {
-        std::memset(acc, 0, static_cast<size_t>(kQNR) * sizeof(int32_t));
+        std::fill_n(acc, kQNR, 0);
         QPackedTile<1>(k, a + ir * k, k, pb_panel, acc);
         int32_t* cr = c + ir * n + jr;
         for (int64_t j = 0; j < nr; ++j) {

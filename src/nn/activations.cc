@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
+#include "src/tensor/tensor_ops.h"
 
 namespace gmorph {
 namespace {
@@ -99,24 +100,10 @@ Tensor Tanh::Backward(const Tensor& grad_out) {
   return grad_x;
 }
 
-namespace {
-
-constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
-constexpr float kGeluA = 0.044715f;
-
-}  // namespace
-
 Tensor GELU::Forward(const Tensor& x, bool /*training*/) {
   cached_input_ = x;
   Tensor out(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
-  ParallelFor(0, x.size(), kActGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const float v = px[i];
-      po[i] = 0.5f * v * (1.0f + std::tanh(kGeluC * (v + kGeluA * v * v * v)));
-    }
-  });
+  GeluForwardInto(x, out);
   return out;
 }
 
@@ -128,12 +115,13 @@ Tensor GELU::Backward(const Tensor& grad_out) {
   float* po = grad_x.data();
   ParallelFor(0, grad_out.size(), kActGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
+      // d/dv [v s] with s = sigma(2u): s + 2 v s (1 - s) du/dv, the sigmoid
+      // form of the tanh derivative 0.5 (1 + th) + 0.5 v sech^2(u) du/dv.
       const float v = px[i];
       const float u = kGeluC * (v + kGeluA * v * v * v);
-      const float th = std::tanh(u);
-      const float sech2 = 1.0f - th * th;
+      const float s = 1.0f / (1.0f + FastExp(-2.0f * u));
       const float du = kGeluC * (1.0f + 3.0f * kGeluA * v * v);
-      po[i] = pg[i] * (0.5f * (1.0f + th) + 0.5f * v * sech2 * du);
+      po[i] = pg[i] * (s + 2.0f * v * s * (1.0f - s) * du);
     }
   });
   return grad_x;

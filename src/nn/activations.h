@@ -1,4 +1,5 @@
-// Pointwise activation modules: ReLU and GELU (tanh approximation).
+// Pointwise activation modules: ReLU, GELU (tanh approximation, computed in
+// its sigmoid form by the shared Gelu() kernel), Sigmoid and Tanh.
 #ifndef GMORPH_SRC_NN_ACTIVATIONS_H_
 #define GMORPH_SRC_NN_ACTIVATIONS_H_
 

@@ -7,6 +7,7 @@
 #include "src/common/parallel_for.h"
 #include "src/kernels/scratch.h"
 #include "src/tensor/tensor_ops.h"
+#include "src/tensor/transformer_ops.h"
 
 namespace gmorph {
 namespace {
@@ -17,7 +18,8 @@ int64_t HeadGrain(int64_t t, int64_t head_dim) {
   return std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, t * t + t * head_dim));
 }
 
-// Copies one head's panel out of / into a (N, T, 3D) or (N, T, D) tensor.
+// Copies one head's panel out of / into a (N, T, 3D) or (N, T, D) tensor
+// (backward pass; the forward kernel reads the panels in place).
 void GatherPanel(const float* src, int64_t t, int64_t row_stride, int64_t offset, int64_t width,
                  float* dst) {
   for (int64_t i = 0; i < t; ++i) {
@@ -54,62 +56,23 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x, bool training) {
   cached_input_shape_ = x.shape();
   const int64_t n = x.shape()[0];
   const int64_t t = x.shape()[1];
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
-
-  cached_qkv_ = qkv_->Forward(x, training);  // (N, T, 3D)
-  cached_attn_ = Tensor(Shape{n, num_heads_, t, t});
+  Tensor qkv = qkv_->Forward(x, training);  // (N, T, 3D)
   Tensor merged(Shape{n, t, dim_});
-
-  // Each (sample, head) pair touches disjoint slices of cached_attn_ and
-  // merged, so the flattened pair index parallelizes cleanly.
-  ParallelFor(0, n * num_heads_, HeadGrain(t, head_dim_), [&](int64_t lo, int64_t hi) {
-    ScratchScope scope;
-    float* q = scope.AllocFloats(static_cast<size_t>(t * head_dim_));
-    float* k = scope.AllocFloats(static_cast<size_t>(t * head_dim_));
-    float* v = scope.AllocFloats(static_cast<size_t>(t * head_dim_));
-    float* scores = scope.AllocFloats(static_cast<size_t>(t * t));
-    float* ctx = scope.AllocFloats(static_cast<size_t>(t * head_dim_));
-    for (int64_t ih = lo; ih < hi; ++ih) {
-      const int64_t i = ih / num_heads_;
-      const int64_t h = ih % num_heads_;
-      const float* qkv_n = cached_qkv_.data() + i * t * 3 * dim_;
-      const int64_t off = h * head_dim_;
-      GatherPanel(qkv_n, t, 3 * dim_, off, head_dim_, q);
-      GatherPanel(qkv_n, t, 3 * dim_, dim_ + off, head_dim_, k);
-      GatherPanel(qkv_n, t, 3 * dim_, 2 * dim_ + off, head_dim_, v);
-
-      MatmulNT(q, k, scores, t, head_dim_, t);
-      for (int64_t s = 0; s < t * t; ++s) {
-        scores[s] *= scale;
-      }
-      // Row-wise softmax straight into the attention cache.
-      float* attn = cached_attn_.data() + ((i * num_heads_ + h) * t) * t;
-      for (int64_t r = 0; r < t; ++r) {
-        const float* sr = scores + r * t;
-        float* ar = attn + r * t;
-        float mx = sr[0];
-        for (int64_t j = 1; j < t; ++j) {
-          mx = std::max(mx, sr[j]);
-        }
-        float sum = 0.0f;
-        for (int64_t j = 0; j < t; ++j) {
-          ar[j] = std::exp(sr[j] - mx);
-          sum += ar[j];
-        }
-        const float inv = 1.0f / sum;
-        for (int64_t j = 0; j < t; ++j) {
-          ar[j] *= inv;
-        }
-      }
-      MatmulNN(attn, v, ctx, t, t, head_dim_);
-      ScatterPanel(ctx, t, dim_, off, head_dim_, merged.data() + i * t * dim_);
-    }
-  });
+  if (training) {
+    cached_qkv_ = qkv;
+    cached_attn_ = Tensor(Shape{n, num_heads_, t, t});
+    AttentionForwardInto(qkv, num_heads_, merged, &cached_attn_);
+  } else {
+    cached_qkv_ = Tensor();
+    cached_attn_ = Tensor();
+    AttentionForwardInto(qkv, num_heads_, merged);
+  }
   return proj_->Forward(merged, training);
 }
 
 Tensor MultiHeadSelfAttention::Backward(const Tensor& grad_out) {
-  GMORPH_CHECK(!cached_qkv_.empty());
+  GMORPH_CHECK(!cached_qkv_.empty(),
+               "MultiHeadSelfAttention::Backward requires a training-mode Forward first");
   const int64_t n = cached_input_shape_[0];
   const int64_t t = cached_input_shape_[1];
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));

@@ -1,9 +1,10 @@
 // Multi-head self-attention over (N, T, D) sequences.
 //
-// Layout strategy: the fused QKV projection produces (N, T, 3D); per-head
-// Q/K/V are materialized into contiguous (T, head_dim) panels so that the
-// score / context products run through the contiguous GEMM cores. The copies
-// are linear in the activation size and negligible next to the matmuls.
+// The fused QKV projection produces (N, T, 3D); the attention core
+// (AttentionForwardInto, shared with the FusedEngine's attention step) reads
+// each head's Q/K/V in place from it, and the output projection maps the
+// merged heads back to D. The backward pass materializes contiguous
+// (T, head_dim) panels so its products run through the GEMM cores.
 #ifndef GMORPH_SRC_NN_ATTENTION_H_
 #define GMORPH_SRC_NN_ATTENTION_H_
 
@@ -26,6 +27,10 @@ class MultiHeadSelfAttention : public Module {
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
 
+  int64_t num_heads() const { return num_heads_; }
+  const Linear& qkv() const { return *qkv_; }
+  const Linear& proj() const { return *proj_; }
+
  protected:
   std::unique_ptr<Module> CloneImpl() const override;
 
@@ -39,7 +44,7 @@ class MultiHeadSelfAttention : public Module {
   std::unique_ptr<Linear> qkv_;   // D -> 3D
   std::unique_ptr<Linear> proj_;  // D -> D
 
-  // Caches for backward.
+  // Caches for backward, set by a training-mode Forward only.
   Tensor cached_qkv_;    // (N, T, 3D)
   Tensor cached_attn_;   // (N, H, T, T) softmax weights
   Shape cached_input_shape_;

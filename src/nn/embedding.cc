@@ -1,9 +1,9 @@
 #include "src/nn/embedding.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/tensor/transformer_ops.h"
 
 namespace gmorph {
 
@@ -17,24 +17,9 @@ TokenEmbedding::TokenEmbedding(int64_t vocab_size, int64_t seq_len, int64_t dim,
 Tensor TokenEmbedding::Forward(const Tensor& x, bool /*training*/) {
   GMORPH_CHECK(x.shape().Rank() == 2 && x.shape()[1] == seq_len_,
                    "TokenEmbedding got " << x.shape().ToString());
-  const int64_t n = x.shape()[0];
-  cached_ids_.resize(static_cast<size_t>(n * seq_len_));
-  Tensor out(Shape{n, seq_len_, dim_});
-  const float* px = x.data();
-  float* po = out.data();
-  const float* table = table_.value.data();
-  const float* pos = pos_.value.data();
-  for (int64_t i = 0; i < n * seq_len_; ++i) {
-    const int64_t id = static_cast<int64_t>(std::lround(px[i]));
-    GMORPH_CHECK(id >= 0 && id < vocab_size_, "token id " << id << " out of range");
-    cached_ids_[static_cast<size_t>(i)] = id;
-    const float* row = table + id * dim_;
-    const float* prow = pos + (i % seq_len_) * dim_;
-    float* dst = po + i * dim_;
-    for (int64_t j = 0; j < dim_; ++j) {
-      dst[j] = row[j] + prow[j];
-    }
-  }
+  cached_ids_.resize(static_cast<size_t>(x.size()));
+  Tensor out(Shape{x.shape()[0], seq_len_, dim_});
+  TokenEmbeddingForwardInto(x, table_.value, pos_.value, out, cached_ids_.data());
   return out;
 }
 
@@ -82,22 +67,8 @@ PatchEmbed::PatchEmbed(int64_t in_channels, int64_t image_size, int64_t patch_si
 
 Tensor PatchEmbed::Forward(const Tensor& x, bool training) {
   Tensor h = proj_->Forward(x, training);  // (N, D, G, G)
-  const int64_t n = h.shape()[0];
-  Tensor out(Shape{n, num_tokens_, dim_});
-  const float* ph = h.data();
-  float* po = out.data();
-  const float* pos = pos_.value.data();
-  for (int64_t i = 0; i < n; ++i) {
-    const float* src = ph + i * dim_ * num_tokens_;
-    float* dst = po + i * num_tokens_ * dim_;
-    for (int64_t tok = 0; tok < num_tokens_; ++tok) {
-      float* row = dst + tok * dim_;
-      const float* prow = pos + tok * dim_;
-      for (int64_t d = 0; d < dim_; ++d) {
-        row[d] = src[d * num_tokens_ + tok] + prow[d];
-      }
-    }
-  }
+  Tensor out(Shape{h.shape()[0], num_tokens_, dim_});
+  PatchTokensForwardInto(h, pos_.value, out);
   return out;
 }
 

@@ -26,6 +26,9 @@ class TokenEmbedding : public Module {
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
 
+  const Parameter& table() const { return table_; }
+  const Parameter& pos() const { return pos_; }
+
  protected:
   std::unique_ptr<Module> CloneImpl() const override;
 
@@ -48,6 +51,8 @@ class PatchEmbed : public Module {
   std::string Name() const override;
 
   int64_t num_tokens() const { return num_tokens_; }
+  const Conv2d& proj() const { return *proj_; }
+  const Parameter& pos() const { return pos_; }
 
  protected:
   std::unique_ptr<Module> CloneImpl() const override;

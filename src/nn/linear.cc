@@ -1,10 +1,8 @@
 #include "src/nn/linear.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "src/common/check.h"
-#include "src/common/parallel_for.h"
 #include "src/nn/init.h"
 #include "src/tensor/tensor_ops.h"
 
@@ -21,25 +19,10 @@ Tensor Linear::Forward(const Tensor& x, bool /*training*/) {
   GMORPH_CHECK(x.shape()[-1] == in_features_,
                    "Linear(" << in_features_ << ") got " << x.shape().ToString());
   cached_input_ = x;
-  const int64_t rows = x.size() / in_features_;
-
   std::vector<int64_t> out_dims = x.shape().dims();
   out_dims.back() = out_features_;
   Tensor out(Shape(std::move(out_dims)));
-  MatmulNN(x.data(), weight_.value.data(), out.data(), rows, in_features_, out_features_);
-  if (has_bias_) {
-    float* po = out.data();
-    const float* pb = bias_.value.data();
-    const int64_t grain = std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, out_features_));
-    ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
-      for (int64_t r = lo; r < hi; ++r) {
-        float* row = po + r * out_features_;
-        for (int64_t j = 0; j < out_features_; ++j) {
-          row[j] += pb[j];
-        }
-      }
-    });
-  }
+  LinearForwardInto(x, weight_.value, bias_.value, out);
   return out;
 }
 

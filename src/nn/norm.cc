@@ -6,6 +6,7 @@
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
+#include "src/tensor/transformer_ops.h"
 
 namespace gmorph {
 namespace {
@@ -163,44 +164,24 @@ LayerNorm::LayerNorm(int64_t dim, float eps)
       gamma_("gamma", Tensor::Full(Shape{dim}, 1.0f)),
       beta_("beta", Tensor::Zeros(Shape{dim})) {}
 
-Tensor LayerNorm::Forward(const Tensor& x, bool /*training*/) {
-  GMORPH_CHECK(x.shape()[-1] == dim_);
-  const int64_t rows = x.size() / dim_;
+Tensor LayerNorm::Forward(const Tensor& x, bool training) {
   Tensor out(x.shape());
-  cached_xhat_ = Tensor(x.shape());
-  cached_inv_std_ = Tensor(Shape{rows});
-  const float* px = x.data();
-  float* po = out.data();
-  float* pxh = cached_xhat_.data();
-  const float* pg = gamma_.value.data();
-  const float* pb = beta_.value.data();
-  ParallelFor(0, rows, NormGrain(dim_), [&](int64_t r_lo, int64_t r_hi) {
-    for (int64_t r = r_lo; r < r_hi; ++r) {
-      const float* row = px + r * dim_;
-      double sum = 0.0;
-      double sq = 0.0;
-      for (int64_t j = 0; j < dim_; ++j) {
-        sum += row[j];
-        sq += static_cast<double>(row[j]) * row[j];
-      }
-      const float mean = static_cast<float>(sum / dim_);
-      const float var = static_cast<float>(sq / dim_) - mean * mean;
-      const float inv_std = 1.0f / std::sqrt(var + eps_);
-      cached_inv_std_.at(r) = inv_std;
-      float* xh = pxh + r * dim_;
-      float* yo = po + r * dim_;
-      for (int64_t j = 0; j < dim_; ++j) {
-        const float v = (row[j] - mean) * inv_std;
-        xh[j] = v;
-        yo[j] = pg[j] * v + pb[j];
-      }
-    }
-  });
+  if (training) {
+    cached_xhat_ = Tensor(x.shape());
+    cached_inv_std_ = Tensor(Shape{x.size() / dim_});
+    LayerNormForwardInto(x, gamma_.value, beta_.value, eps_, out, cached_xhat_.data(),
+                         cached_inv_std_.data());
+  } else {
+    cached_xhat_ = Tensor();
+    cached_inv_std_ = Tensor();
+    LayerNormForwardInto(x, gamma_.value, beta_.value, eps_, out);
+  }
   return out;
 }
 
 Tensor LayerNorm::Backward(const Tensor& grad_out) {
-  GMORPH_CHECK(!cached_xhat_.empty());
+  GMORPH_CHECK(!cached_xhat_.empty(),
+               "LayerNorm::Backward requires a training-mode Forward first");
   const int64_t rows = grad_out.size() / dim_;
   Tensor grad_x(grad_out.shape());
   const float* pg = grad_out.data();

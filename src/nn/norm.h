@@ -53,6 +53,11 @@ class LayerNorm : public Module {
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
 
+  int64_t dim() const { return dim_; }
+  float eps() const { return eps_; }
+  const Parameter& gamma() const { return gamma_; }
+  const Parameter& beta() const { return beta_; }
+
  protected:
   std::unique_ptr<Module> CloneImpl() const override;
 
@@ -61,6 +66,7 @@ class LayerNorm : public Module {
   float eps_;
   Parameter gamma_;
   Parameter beta_;
+  // Set by a training-mode Forward only.
   Tensor cached_xhat_;
   Tensor cached_inv_std_;  // one per row
 };

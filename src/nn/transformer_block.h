@@ -27,6 +27,13 @@ class TransformerBlock : public Module {
   std::vector<Parameter*> Parameters() override;
   std::string Name() const override;
 
+  // Sub-layers, for the FusedEngine's lowering into plan steps.
+  const LayerNorm& ln1() const { return *ln1_; }
+  const MultiHeadSelfAttention& attn() const { return *attn_; }
+  const LayerNorm& ln2() const { return *ln2_; }
+  const Linear& fc1() const { return *fc1_; }
+  const Linear& fc2() const { return *fc2_; }
+
  protected:
   std::unique_ptr<Module> CloneImpl() const override;
 

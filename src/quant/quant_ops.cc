@@ -118,7 +118,7 @@ QConvWeights PackConvWeights(const Tensor& w, const Tensor& b, const ActQuant& i
   return qw;
 }
 
-void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, bool relu,
+void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, Activation act,
                         const kernels::QGemmSolver* solver) {
   const int64_t in = qw.in_features;
   const int64_t n = qw.out_features;
@@ -153,12 +153,9 @@ void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, 
       const int32_t* arow = acc + r * n;
       float* orow = po + r * n;
       for (int64_t j = 0; j < n; ++j) {
-        float v = ds[j] * static_cast<float>(arow[j] - zp * colsum[j]);
-        if (pb != nullptr) {
-          v += pb[j];
-        }
-        orow[j] = relu && v < 0.0f ? 0.0f : v;
+        orow[j] = ds[j] * static_cast<float>(arow[j] - zp * colsum[j]);
       }
+      LinearEpilogueRow(orow, n, pb, /*skip=*/nullptr, act);
     }
   });
 }

@@ -25,6 +25,7 @@
 #include "src/quant/qparams.h"
 #include "src/tensor/conv_ops.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/tensor_ops.h"
 
 namespace gmorph::quant {
 
@@ -63,9 +64,11 @@ QConvWeights PackConvWeights(const Tensor& w, const Tensor& b, const ActQuant& i
                              const std::vector<float>& w_scales);
 
 // x (..., in) -> out (..., out). Quantizes x to u8 in scratch, runs the int8
-// GEMM, dequantizes with bias + optional ReLU in one pass. `solver` is the
+// GEMM, and dequantizes each row straight into the f32 linear epilogue
+// (LinearEpilogueRow: bias, then `act`) in one pass. There is no residual
+// skip-add: linears that write a residual stream stay f32. `solver` is the
 // pinned winner for QGemmProblem(rows, in, out); nullptr resolves per call.
-void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, bool relu,
+void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, Activation act,
                         const kernels::QGemmSolver* solver = nullptr);
 
 // x (N,C,H,W) -> out (N,O,OH,OW); optional skip (same shape as out) and ReLU

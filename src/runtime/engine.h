@@ -49,7 +49,7 @@ enum class EngineKind { kEager, kFused };
 std::unique_ptr<InferenceEngine> MakeEngine(EngineKind kind, MultiTaskModel* model);
 
 // A self-contained engine instance: the engine plus the model it executes.
-// Engines reference live model state (linear weight handles, fallback
+// Engines reference live model state (parameter handles into its
 // modules) and are not safe for concurrent Run() calls, so a serving replica
 // pool instantiates one EngineReplica per worker — each replica owns its own
 // MultiTaskModel materialized from the (weight-carrying) graph, sharing no

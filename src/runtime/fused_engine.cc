@@ -12,11 +12,14 @@
 #include "src/kernels/registry.h"
 #include "src/obs/trace.h"
 #include "src/nn/blocks.h"
+#include "src/nn/embedding.h"
 #include "src/nn/linear.h"
 #include "src/nn/pooling.h"
 #include "src/nn/rescale.h"
 #include "src/nn/sequential.h"
+#include "src/nn/transformer_block.h"
 #include "src/tensor/tensor_ops.h"
+#include "src/tensor/transformer_ops.h"
 
 namespace gmorph {
 namespace {
@@ -136,8 +139,6 @@ int FusedEngine::NewAlias(int of_value, const Shape& per_sample_shape) {
   values_.push_back(std::move(v));
   if (root == 0) {
     input_aliases_.push_back(id);
-  } else if (values_[static_cast<size_t>(root)].from_module) {
-    values_[static_cast<size_t>(root)].dependent_aliases.push_back(id);
   }
   return id;
 }
@@ -174,14 +175,30 @@ void FusedEngine::LowerNode(int node_id, int group) {
   Module* module = model_->module(node_id);
   const int in_value = node_value_[static_cast<size_t>(node.parent)];
 
-  // Folded-conv step factory shared by ConvBlock / residual lowering.
-  const auto folded_conv = [&](const Conv2d& conv, const BatchNorm2d* bn, bool relu,
-                               const char* tag) {
-    Step s;
-    s.kind = OpKind::kConv;
+  // Appends `s` as one of this node's steps, writing a fresh value of
+  // `shape`; returns that value.
+  const auto emit = [&](Step s, const Shape& shape) {
     s.node = node_id;
     s.group = group;
-    s.relu = relu;
+    s.out = NewValue(shape, group);
+    const int out = s.out;
+    AddStep(std::move(s));
+    return out;
+  };
+  // A parameterless step from the node's input to its output.
+  const auto simple = [&](OpKind kind, std::string label) {
+    Step s;
+    s.kind = kind;
+    s.in0 = in_value;
+    s.label = std::move(label);
+    return emit(std::move(s), node.output_shape);
+  };
+  // Folded-conv step shared by ConvBlock / residual lowering.
+  const auto folded_conv = [&](const Conv2d& conv, const BatchNorm2d* bn, bool relu,
+                               const char* tag, int in, int skip) {
+    Step s;
+    s.kind = OpKind::kConv;
+    s.act = relu ? Activation::kRelu : Activation::kNone;
     s.conv_args = conv.args();
     s.weight = conv.weight().value.Clone();
     s.bias = Tensor::Zeros(Shape{conv.out_channels()});
@@ -196,36 +213,49 @@ void FusedEngine::LowerNode(int node_id, int group) {
     std::ostringstream label;
     label << tag << " " << conv.in_channels() << "->" << conv.out_channels() << " k"
           << conv.kernel() << "s" << s.conv_args.stride << (bn ? " +bn" : "")
-          << (relu ? " +relu" : "");
+          << (relu ? " +relu" : "") << (skip >= 0 ? " +skip" : "");
     s.label = label.str();
+    s.in0 = in;
+    s.skip = skip;
     ++num_fused_convs_;
-    return s;
+    return emit(std::move(s), node.output_shape);
   };
-  const auto fallback = [&]() {
+  // Linear step over handles into the live module (they stay in sync with
+  // training); bias, residual skip and activation run in its epilogue.
+  const auto linear = [&](const Linear& lin, const char* tag, int in, int skip, Activation act,
+                          const Shape& shape) {
     Step s;
-    s.kind = OpKind::kModule;
-    s.node = node_id;
-    s.group = group;
-    s.module = module;
-    s.in0 = in_value;
-    s.out = NewValue(node.output_shape, group);
-    values_[static_cast<size_t>(s.out)].from_module = true;
-    s.label = BlockTypeName(node.spec.type) + " (module)";
-    ++num_fallback_modules_;
-    AddStep(std::move(s));
-    node_value_[static_cast<size_t>(node_id)] = static_cast<int>(values_.size()) - 1;
+    s.kind = OpKind::kLinear;
+    s.act = act;
+    s.weight = lin.weight().value;
+    s.bias = lin.bias().value;
+    s.in0 = in;
+    s.skip = skip;
+    s.label = std::string(tag) + " " + std::to_string(lin.in_features()) + "->" +
+              std::to_string(lin.out_features()) + (skip >= 0 ? " +skip" : "") +
+              (act == Activation::kRelu ? " +relu" : "") +
+              (act == Activation::kGelu ? " +gelu" : "");
+    ++num_fused_linears_;
+    return emit(std::move(s), shape);
+  };
+  const auto layer_norm = [&](const LayerNorm& ln, int in) {
+    Step s;
+    s.kind = OpKind::kLayerNorm;
+    s.weight = ln.gamma().value;
+    s.bias = ln.beta().value;
+    s.eps = ln.eps();
+    s.in0 = in;
+    s.label = "layernorm " + std::to_string(ln.dim());
+    return emit(std::move(s), values_[static_cast<size_t>(in)].shape);
   };
 
+  int result = -1;
   switch (node.spec.type) {
     case BlockType::kConvReLU:
     case BlockType::kConvBNReLU: {
       auto* block = dynamic_cast<ConvBlock*>(module);
       GMORPH_CHECK(block != nullptr);
-      Step s = folded_conv(block->conv(), block->bn(), /*relu=*/true, "conv");
-      s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      AddStep(std::move(s));
+      result = folded_conv(block->conv(), block->bn(), /*relu=*/true, "conv", in_value, -1);
       break;
     }
     case BlockType::kResidual: {
@@ -233,190 +263,165 @@ void FusedEngine::LowerNode(int node_id, int group) {
       GMORPH_CHECK(block != nullptr);
       // conv1 halves/keeps the spatial dims; conv2 is shape-preserving, so
       // both intermediates share the node's output shape.
-      Step s1 = folded_conv(block->conv1(), &block->bn1(), /*relu=*/true, "res.conv1");
-      s1.in0 = in_value;
-      s1.out = NewValue(node.output_shape, group);
-      const int mid = s1.out;
-      AddStep(std::move(s1));
-
+      const int mid =
+          folded_conv(block->conv1(), &block->bn1(), /*relu=*/true, "res.conv1", in_value, -1);
       int skip = in_value;
       if (block->proj() != nullptr) {
-        Step sp = folded_conv(*block->proj(), block->proj_bn(), /*relu=*/false, "res.proj");
-        sp.in0 = in_value;
-        sp.out = NewValue(node.output_shape, group);
-        skip = sp.out;
-        AddStep(std::move(sp));
+        skip = folded_conv(*block->proj(), block->proj_bn(), /*relu=*/false, "res.proj",
+                           in_value, -1);
       }
-
-      Step s2 = folded_conv(block->conv2(), &block->bn2(), /*relu=*/true, "res.conv2");
-      s2.label += " +skip";
-      s2.in0 = mid;
-      s2.skip = skip;
-      s2.out = NewValue(node.output_shape, group);
-      node_value_[static_cast<size_t>(node_id)] = s2.out;
-      AddStep(std::move(s2));
+      result = folded_conv(block->conv2(), &block->bn2(), /*relu=*/true, "res.conv2", mid, skip);
       break;
     }
     case BlockType::kMaxPool: {
       Step s;
       s.kind = OpKind::kMaxPool;
-      s.node = node_id;
-      s.group = group;
       s.pool_kernel = node.spec.pool_kernel;
       s.pool_stride = node.spec.pool_stride;
       s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
       s.label = "maxpool k" + std::to_string(s.pool_kernel);
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      AddStep(std::move(s));
+      result = emit(std::move(s), node.output_shape);
       break;
     }
-    case BlockType::kGlobalAvgPool: {
-      Step s;
-      s.kind = OpKind::kGlobalAvgPool;
-      s.node = node_id;
-      s.group = group;
-      s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
-      s.label = "gap";
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      AddStep(std::move(s));
+    case BlockType::kGlobalAvgPool:
+      result = simple(OpKind::kGlobalAvgPool, "gap");
       break;
-    }
-    case BlockType::kMeanPoolTokens: {
-      Step s;
-      s.kind = OpKind::kMeanPoolTokens;
-      s.node = node_id;
-      s.group = group;
-      s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
-      s.label = "meanpool";
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      AddStep(std::move(s));
+    case BlockType::kMeanPoolTokens:
+      result = simple(OpKind::kMeanPoolTokens, "meanpool");
       break;
-    }
-    case BlockType::kFlatten: {
+    case BlockType::kFlatten:
       // Pure metadata: the flattened value shares the parent's storage.
-      node_value_[static_cast<size_t>(node_id)] = NewAlias(in_value, node.output_shape);
+      result = NewAlias(in_value, node.output_shape);
       break;
-    }
     case BlockType::kLinearReLU: {
       auto* seq = dynamic_cast<Sequential*>(module);
-      Linear* lin =
+      const Linear* lin =
           (seq != nullptr && seq->size() >= 1) ? dynamic_cast<Linear*>(&seq->at(0)) : nullptr;
-      if (lin == nullptr) {
-        fallback();
-        break;
-      }
-      Step s;
-      s.kind = OpKind::kLinear;
-      s.node = node_id;
-      s.group = group;
-      s.relu = true;
-      s.weight = lin->weight().value;  // handle: stays in sync with training
-      s.bias = lin->bias().value;
-      s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
-      s.label = "linear " + std::to_string(lin->in_features()) + "->" +
-                std::to_string(lin->out_features()) + " +relu";
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      ++num_fused_linears_;
-      AddStep(std::move(s));
+      GMORPH_CHECK(lin != nullptr, "LinearReLU node " << node_id << " is not a Linear sequence");
+      result = linear(*lin, "linear", in_value, -1, Activation::kRelu, node.output_shape);
       break;
     }
     case BlockType::kHead: {
-      auto* lin = dynamic_cast<Linear*>(module);
-      if (lin == nullptr) {
-        fallback();
-        break;
-      }
-      Step s;
-      s.kind = OpKind::kLinear;
-      s.node = node_id;
-      s.group = group;
-      s.relu = false;
-      s.weight = lin->weight().value;
-      s.bias = lin->bias().value;
-      s.in0 = in_value;
-      s.out = NewValue(node.output_shape, group);
-      values_[static_cast<size_t>(s.out)].is_head = true;
-      s.label = "head " + std::to_string(lin->in_features()) + "->" +
-                std::to_string(lin->out_features());
-      node_value_[static_cast<size_t>(node_id)] = s.out;
-      ++num_fused_linears_;
-      AddStep(std::move(s));
+      const auto* lin = dynamic_cast<Linear*>(module);
+      GMORPH_CHECK(lin != nullptr, "head node " << node_id << " is not a Linear");
+      result = linear(*lin, "head", in_value, -1, Activation::kNone, node.output_shape);
+      values_[static_cast<size_t>(result)].is_head = true;
       break;
     }
     case BlockType::kRescale: {
       auto* rs = dynamic_cast<Rescale*>(module);
       GMORPH_CHECK(rs != nullptr);
       if (rs->IsIdentity()) {
-        node_value_[static_cast<size_t>(node_id)] = NewAlias(in_value, node.output_shape);
+        result = NewAlias(in_value, node.output_shape);
         ++num_eliminated_;
         break;
       }
       const Shape& in_shape = rs->in_shape();
       const Shape& out_shape = rs->out_shape();
-      int cur = in_value;
+      result = in_value;
       if (rs->needs_spatial()) {
         Step s;
-        s.node = node_id;
-        s.group = group;
-        s.in0 = cur;
+        s.in0 = result;
         if (in_shape.Rank() == 3) {
           s.kind = OpKind::kBilinearResize;
-          s.out = NewValue(Shape{in_shape[0], out_shape[1], out_shape[2]}, group);
           s.label = "resize " + std::to_string(out_shape[1]) + "x" + std::to_string(out_shape[2]);
+          result = emit(std::move(s), Shape{in_shape[0], out_shape[1], out_shape[2]});
         } else {
           s.kind = OpKind::kTokenResize;
-          s.out = NewValue(Shape{out_shape[0], in_shape[1]}, group);
           s.label = "tok.resize " + std::to_string(out_shape[0]);
+          result = emit(std::move(s), Shape{out_shape[0], in_shape[1]});
         }
-        cur = s.out;
-        AddStep(std::move(s));
       }
       if (rs->channel_adapter() != nullptr) {
         const Conv2d& conv = *rs->channel_adapter();
         Step s;
         s.kind = OpKind::kConv;
-        s.node = node_id;
-        s.group = group;
         s.conv_args = conv.args();
         s.weight = conv.weight().value;  // handles: 1x1 adapter, no folding
         s.bias = conv.bias().value;
-        s.in0 = cur;
-        s.out = NewValue(node.output_shape, group);
+        s.in0 = result;
         s.label = "adapter.conv " + std::to_string(conv.in_channels()) + "->" +
                   std::to_string(conv.out_channels());
-        cur = s.out;
         ++num_fused_convs_;
-        AddStep(std::move(s));
+        result = emit(std::move(s), node.output_shape);
       } else if (rs->dim_adapter() != nullptr) {
-        const Linear& lin = *rs->dim_adapter();
-        Step s;
-        s.kind = OpKind::kLinear;
-        s.node = node_id;
-        s.group = group;
-        s.weight = lin.weight().value;
-        s.bias = lin.bias().value;
-        s.in0 = cur;
-        s.out = NewValue(node.output_shape, group);
-        s.label = "adapter.linear " + std::to_string(lin.in_features()) + "->" +
-                  std::to_string(lin.out_features());
-        cur = s.out;
-        ++num_fused_linears_;
-        AddStep(std::move(s));
+        result = linear(*rs->dim_adapter(), "adapter.linear", result, -1, Activation::kNone,
+                        node.output_shape);
       }
-      node_value_[static_cast<size_t>(node_id)] = cur;
       break;
     }
-    case BlockType::kPatchEmbed:
-    case BlockType::kTokenEmbed:
-    case BlockType::kTransformer:
-    default:
-      fallback();
+    case BlockType::kPatchEmbed: {
+      auto* embed = dynamic_cast<PatchEmbed*>(module);
+      GMORPH_CHECK(embed != nullptr);
+      // The patch convolution is an ordinary conv step (handles, no BN to
+      // fold); a layout step then turns its (D, G, G) grid into (T, D)
+      // tokens and adds the positional embedding.
+      const Conv2d& conv = embed->proj();
+      const Shape& image = values_[static_cast<size_t>(in_value)].shape;
+      GMORPH_CHECK(image.Rank() == 3);
+      Step c;
+      c.kind = OpKind::kConv;
+      c.conv_args = conv.args();
+      c.weight = conv.weight().value;
+      c.bias = conv.bias().value;
+      c.in0 = in_value;
+      c.label = "conv.patch " + std::to_string(conv.in_channels()) + "->" +
+                std::to_string(conv.out_channels()) + " k" + std::to_string(conv.kernel()) +
+                "s" + std::to_string(c.conv_args.stride);
+      ++num_fused_convs_;
+      const Shape grid{
+          conv.out_channels(),
+          ConvOutDim(image[1], conv.kernel(), c.conv_args.stride, c.conv_args.padding),
+          ConvOutDim(image[2], conv.kernel(), c.conv_args.stride, c.conv_args.padding)};
+      Step t;
+      t.kind = OpKind::kPatchTokens;
+      t.weight = embed->pos().value;
+      t.in0 = emit(std::move(c), grid);
+      t.label = "tokens " + std::to_string(node.output_shape[0]) + "x" +
+                std::to_string(node.output_shape[1]) + " +pos";
+      result = emit(std::move(t), node.output_shape);
       break;
+    }
+    case BlockType::kTokenEmbed: {
+      auto* embed = dynamic_cast<TokenEmbedding*>(module);
+      GMORPH_CHECK(embed != nullptr);
+      Step s;
+      s.kind = OpKind::kEmbedding;
+      s.weight = embed->table().value;
+      s.bias = embed->pos().value;
+      s.in0 = in_value;
+      s.label = "embed " + std::to_string(s.weight.shape()[0]) + "x" +
+                std::to_string(s.weight.shape()[1]) + " +pos";
+      result = emit(std::move(s), node.output_shape);
+      break;
+    }
+    case BlockType::kTransformer: {
+      auto* block = dynamic_cast<TransformerBlock*>(module);
+      GMORPH_CHECK(block != nullptr);
+      // Pre-LN encoder block: x1 = x + proj(attn(qkv(LN1(x)))),
+      // out = x1 + fc2(GELU(fc1(LN2(x1)))). Both residual adds and the GELU
+      // ride in the producing linear's epilogue; attention reads Q/K/V in
+      // place from the QKV value.
+      const Shape& tokens = node.output_shape;  // (T, D)
+      const MultiHeadSelfAttention& attn = block->attn();
+      const int h1 = layer_norm(block->ln1(), in_value);
+      const int qkv = linear(attn.qkv(), "linear.qkv", h1, -1, Activation::kNone,
+                             Shape{tokens[0], attn.qkv().out_features()});
+      Step a;
+      a.kind = OpKind::kAttention;
+      a.heads = attn.num_heads();
+      a.in0 = qkv;
+      a.label = "attention h" + std::to_string(a.heads) + " t" + std::to_string(tokens[0]);
+      const int ctx = emit(std::move(a), tokens);
+      const int x1 = linear(attn.proj(), "linear.proj", ctx, in_value, Activation::kNone, tokens);
+      const int h2 = layer_norm(block->ln2(), x1);
+      const int mlp = linear(block->fc1(), "linear.fc1", h2, -1, Activation::kGelu,
+                             Shape{tokens[0], block->fc1().out_features()});
+      result = linear(block->fc2(), "linear.fc2", mlp, x1, Activation::kNone, tokens);
+      break;
+    }
   }
+  node_value_[static_cast<size_t>(node_id)] = result;
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +453,7 @@ void FusedEngine::PlanBuffers() {
   // happen-before this def); otherwise open a new buffer.
   for (size_t v = 1; v < values_.size(); ++v) {
     Value& val = values_[v];
-    if (val.alias_of >= 0 || val.from_module) {
+    if (val.alias_of >= 0) {
       continue;
     }
     const int64_t elems = val.shape.NumElements();
@@ -631,6 +636,9 @@ quant::QuantRecipe FusedEngine::Calibrate(const std::vector<Tensor>& batches) {
     if (step.kind != OpKind::kConv && step.kind != OpKind::kLinear) {
       continue;
     }
+    if (step.kind == OpKind::kLinear && step.skip >= 0) {
+      continue;  // the int8 linear epilogue has no residual-add path
+    }
     const quant::TensorRange* range = observer.Range(static_cast<int64_t>(s));
     if (range == nullptr || !range->valid()) {
       continue;  // step never executed over the calibration set
@@ -675,8 +683,8 @@ int FusedEngine::Quantize(const quant::QuantRecipe& recipe) {
           quant::PackConvWeights(step.weight, step.bias, spec.in_q, spec.w_scales));
       step.qlinear.reset();
       ++applied;
-    } else if (step.kind == OpKind::kLinear && spec.kind == "linear" && w.Rank() == 2 &&
-               static_cast<int64_t>(spec.w_scales.size()) == w[1]) {
+    } else if (step.kind == OpKind::kLinear && step.skip < 0 && spec.kind == "linear" &&
+               w.Rank() == 2 && static_cast<int64_t>(spec.w_scales.size()) == w[1]) {
       step.qlinear = std::make_unique<quant::QLinearWeights>(
           quant::PackLinearWeights(step.weight, step.bias, spec.in_q, spec.w_scales));
       step.qconv.reset();
@@ -714,17 +722,13 @@ FusedEngine::Binding& FusedEngine::BindingFor(int64_t batch) {
   bind->values.resize(values_.size());
   for (size_t v = 1; v < values_.size(); ++v) {
     const Value& val = values_[v];
-    if (val.alias_of >= 0) {
-      const Value& root = values_[static_cast<size_t>(val.alias_of)];
-      if (val.alias_of == 0 || root.from_module) {
-        continue;  // rebound dynamically (Run / module step)
-      }
-      bind->values[v] = bind->values[static_cast<size_t>(val.alias_of)].Reshape(
-          val.shape.WithBatch(batch));
-    } else if (!val.from_module) {
-      bind->values[v] =
-          bind->buffers[static_cast<size_t>(val.buffer)].Reshape(val.shape.WithBatch(batch));
+    if (val.alias_of == 0) {
+      continue;  // views of the input: rebound by every Run()
     }
+    // Alias roots have smaller ids, so they are bound already.
+    const Tensor& storage = val.alias_of > 0 ? bind->values[static_cast<size_t>(val.alias_of)]
+                                             : bind->buffers[static_cast<size_t>(val.buffer)];
+    bind->values[v] = storage.Reshape(val.shape.WithBatch(batch));
   }
   // Pin each linear step's GEMM solver once per (plan, batch): m scales with
   // the batch, so the descriptor — and with it the tuned winner — can differ
@@ -809,6 +813,7 @@ void FusedEngine::ExecStep(int seq, Binding& bind) {
   ++step.calls;
   const Tensor& in = bind.values[static_cast<size_t>(step.in0)];
   Tensor& out = bind.values[static_cast<size_t>(step.out)];
+  const Tensor* skip = step.skip >= 0 ? &bind.values[static_cast<size_t>(step.skip)] : nullptr;
   if (observer_ != nullptr &&
       (step.kind == OpKind::kConv || step.kind == OpKind::kLinear)) {
     observer_->Observe(seq, in.data(), in.size());
@@ -816,22 +821,20 @@ void FusedEngine::ExecStep(int seq, Binding& bind) {
   switch (step.kind) {
     case OpKind::kConv:
       if (step.qconv != nullptr) {
-        quant::QConv2dForwardInto(
-            in, *step.qconv, step.conv_args, out,
-            step.skip >= 0 ? &bind.values[static_cast<size_t>(step.skip)] : nullptr, step.relu,
-            bind.step_qsolvers[static_cast<size_t>(seq)]);
+        quant::QConv2dForwardInto(in, *step.qconv, step.conv_args, out, skip,
+                                  step.act == Activation::kRelu,
+                                  bind.step_qsolvers[static_cast<size_t>(seq)]);
       } else {
-        Conv2dForwardInto(in, step.weight, step.bias, step.conv_args, out,
-                          step.skip >= 0 ? &bind.values[static_cast<size_t>(step.skip)] : nullptr,
-                          step.relu);
+        Conv2dForwardInto(in, step.weight, step.bias, step.conv_args, out, skip,
+                          step.act == Activation::kRelu);
       }
       break;
     case OpKind::kLinear:
       if (step.qlinear != nullptr) {
-        quant::QLinearForwardInto(in, *step.qlinear, out, step.relu,
+        quant::QLinearForwardInto(in, *step.qlinear, out, step.act,
                                   bind.step_qsolvers[static_cast<size_t>(seq)]);
       } else {
-        LinearForwardInto(in, step.weight, step.bias, out, step.relu,
+        LinearForwardInto(in, step.weight, step.bias, out, step.act, skip,
                           bind.step_solvers[static_cast<size_t>(seq)]);
       }
       break;
@@ -850,14 +853,18 @@ void FusedEngine::ExecStep(int seq, Binding& bind) {
     case OpKind::kTokenResize:
       LinearResizeTokensForwardInto(in, out);
       break;
-    case OpKind::kModule: {
-      out = step.module->Forward(in, /*training=*/false);
-      for (int a : values_[static_cast<size_t>(step.out)].dependent_aliases) {
-        bind.values[static_cast<size_t>(a)] =
-            out.Reshape(values_[static_cast<size_t>(a)].shape.WithBatch(out.shape()[0]));
-      }
+    case OpKind::kLayerNorm:
+      LayerNormForwardInto(in, step.weight, step.bias, step.eps, out);
       break;
-    }
+    case OpKind::kAttention:
+      AttentionForwardInto(in, step.heads, out);
+      break;
+    case OpKind::kPatchTokens:
+      PatchTokensForwardInto(in, step.weight, out);
+      break;
+    case OpKind::kEmbedding:
+      TokenEmbeddingForwardInto(in, step.weight, step.bias, out);
+      break;
   }
 }
 
@@ -890,8 +897,12 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
     case OpKind::kLinear: {
       const Shape& w = step.weight.shape();
       const double rows = w[0] > 0 ? in_elems / static_cast<double>(w[0]) : 0.0;
-      *flops = 2.0 * rows * static_cast<double>(w[0] * w[1]) + out_elems;
-      *bytes = 4.0 * (in_elems + static_cast<double>(w.NumElements()) + out_elems) +
+      // GEMM plus the epilogue: bias, skip add, and ~8 ops per GELU.
+      const double epilogue = 1.0 + (step.skip >= 0 ? 1.0 : 0.0) +
+                              (step.act == Activation::kGelu ? 8.0 : 0.0);
+      *flops = 2.0 * rows * static_cast<double>(w[0] * w[1]) + epilogue * out_elems;
+      *bytes = 4.0 * (in_elems + static_cast<double>(w.NumElements()) + out_elems +
+                      elems(step.skip)) +
                4.0 * static_cast<double>(step.bias.size());
       break;
     }
@@ -914,8 +925,29 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
       *flops = 4.0 * out_elems;
       *bytes = 4.0 * (in_elems + out_elems);
       break;
-    case OpKind::kModule:
-      // Opaque fallback: the roofline report labels these unattributed.
+    case OpKind::kLayerNorm:
+      // Mean, squared deviation, normalize, scale and shift.
+      *flops = 7.0 * in_elems;
+      *bytes = 4.0 * (in_elems + out_elems + 2.0 * static_cast<double>(step.weight.size()));
+      break;
+    case OpKind::kAttention: {
+      // Per head: QK^T and PV at 2*T*T*hd each, plus ~6 ops per softmax
+      // score; summed over heads that is 4*T*T*D + 6*H*T*T.
+      const Shape& in = values_[static_cast<size_t>(step.in0)].shape;
+      const double t = static_cast<double>(in[0]);
+      *flops = 4.0 * t * t * (out_elems / t) + 6.0 * static_cast<double>(step.heads) * t * t;
+      *bytes = 4.0 * (in_elems + out_elems);
+      break;
+    }
+    case OpKind::kPatchTokens:
+      *flops = out_elems;  // the positional add
+      *bytes = 4.0 * (in_elems + 2.0 * out_elems);
+      break;
+    case OpKind::kEmbedding:
+      // One add per element of a gathered row; reads the row, its position
+      // and the id.
+      *flops = out_elems;
+      *bytes = 4.0 * (in_elems + 3.0 * out_elems);
       break;
   }
 }
@@ -951,7 +983,7 @@ std::string FusedEngine::DumpPlan() const {
      << buffers_.size() << " buffers (" << planned_bytes_per_sample()
      << " planned bytes/sample), " << groups_.size() << " groups\n";
   os << "fused convs=" << num_fused_convs_ << " linears=" << num_fused_linears_
-     << " eliminated=" << num_eliminated_ << " fallbacks=" << num_fallback_modules_ << "\n";
+     << " eliminated=" << num_eliminated_ << "\n";
   for (size_t i = 0; i < steps_.size(); ++i) {
     const Step& s = steps_[i];
     const Value& out = values_[static_cast<size_t>(s.out)];
@@ -967,12 +999,7 @@ std::string FusedEngine::DumpPlan() const {
     if (s.quantized()) {
       os << " int8";
     }
-    if (out.buffer >= 0) {
-      os << " (buf" << out.buffer << (out.is_head ? ", head" : "") << ")";
-    } else {
-      os << " (dynamic)";
-    }
-    os << "\n";
+    os << " (buf" << out.buffer << (out.is_head ? ", head" : "") << ")\n";
   }
   for (size_t v = 0; v < values_.size(); ++v) {
     if (values_[v].alias_of >= 0) {
@@ -998,7 +1025,6 @@ PlanIR FusedEngine::ExportPlan() const {
     PlanValue pv;
     pv.shape = v.shape;
     pv.alias_of = v.alias_of;
-    pv.from_module = v.from_module;
     pv.is_head = v.is_head;
     pv.buffer = v.buffer;
     plan.values.push_back(std::move(pv));
@@ -1028,8 +1054,17 @@ PlanIR FusedEngine::ExportPlan() const {
       case OpKind::kTokenResize:
         ps.kind = PlanOp::kTokenResize;
         break;
-      case OpKind::kModule:
-        ps.kind = PlanOp::kModule;
+      case OpKind::kLayerNorm:
+        ps.kind = PlanOp::kLayerNorm;
+        break;
+      case OpKind::kAttention:
+        ps.kind = PlanOp::kAttention;
+        break;
+      case OpKind::kPatchTokens:
+        ps.kind = PlanOp::kPatchTokens;
+        break;
+      case OpKind::kEmbedding:
+        ps.kind = PlanOp::kEmbedding;
         break;
     }
     ps.node = s.node;
@@ -1041,9 +1076,10 @@ PlanIR FusedEngine::ExportPlan() const {
     ps.weight_shape = s.weight.shape();
     ps.stride = s.conv_args.stride;
     ps.padding = s.conv_args.padding;
-    ps.relu = s.relu;
+    ps.act = s.act;
     ps.pool_kernel = s.pool_kernel;
     ps.pool_stride = s.pool_stride;
+    ps.heads = s.heads;
     ps.solver = s.solver;
     ps.dtype = s.quantized() ? kernels::DType::kInt8 : kernels::DType::kF32;
     plan.steps.push_back(std::move(ps));

@@ -7,12 +7,17 @@
 //                        single convolution with folded weights/bias.
 //   2. Epilogue fusion — ReLU and the residual skip-add are applied inside
 //                        the conv kernel's per-sample epilogue
-//                        (Conv2dForwardInto); Linear+ReLU heads fuse the same
-//                        way (LinearForwardInto).
+//                        (Conv2dForwardInto); linears fuse bias, residual
+//                        skip-add and ReLU/GELU the same way
+//                        (LinearForwardInto). A transformer block lowers to
+//                        LayerNorm, QKV linear, attention, proj linear (+skip),
+//                        LayerNorm, fc1 (+GELU) and fc2 (+skip) steps; the
+//                        ViT/BERT stems to a patch conv plus a token-layout
+//                        step, or an embedding-gather step.
 //   3. Identity/reshape elimination — identity rescale adapters and Flatten
 //                        become alias entries in the value table (no step, no
-//                        copy); only genuinely opaque blocks (transformer,
-//                        embeddings) fall back to Module::Forward.
+//                        copy). Every other block lowers to planned steps;
+//                        there is no opaque Module::Forward fallback.
 //   4. Static memory planning — per-activation liveness over the plan is
 //                        computed at construction and values are assigned to
 //                        a small set of reusable arena buffers (greedy
@@ -58,8 +63,7 @@ class FusedEngine : public InferenceEngine {
   };
 
   // `model` must outlive the engine; the plan holds folded copies of conv
-  // parameters, handles to linear parameters, and raw pointers to fallback
-  // modules.
+  // parameters and handles to every other parameter tensor.
   explicit FusedEngine(MultiTaskModel* model);
   FusedEngine(MultiTaskModel* model, const Options& options);
 
@@ -75,7 +79,9 @@ class FusedEngine : public InferenceEngine {
   // Applies a recipe: packs s8 weights (conv weights transposed to (CKK, O)
   // for the u8·s8 product), precomputes column sums / dequant scales / bias
   // copies, drops all cached bindings, and re-annotates solvers. Steps whose
-  // seq/kind/channel-count do not match the live plan are skipped. Returns
+  // seq/kind/channel-count do not match the live plan are skipped, as are
+  // linears with a residual skip-add (the int8 linear epilogue has none, so
+  // transformer proj/fc2 stay f32; Calibrate emits no spec for them). Returns
   // the number of steps switched to int8. Steady-state Run() afterwards still
   // performs zero tensor-storage allocations — quantized steps draw their u8
   // im2col / s32 accumulator workspace from the thread-local scratch arena.
@@ -86,10 +92,12 @@ class FusedEngine : public InferenceEngine {
   int num_fused_convs() const { return num_fused_convs_; }
   int num_eliminated() const { return num_eliminated_; }
   int num_fused_linears() const { return num_fused_linears_; }
-  int num_fallback_modules() const { return num_fallback_modules_; }
+  // Blocks executed through Module::Forward instead of plan steps. Every
+  // block type lowers, so this is always 0; reports still print it.
+  int num_fallback_modules() const { return 0; }
   int num_steps() const { return static_cast<int>(steps_.size()); }
   // Arena slots after liveness coloring and their total per-sample footprint;
-  // without planning each non-opaque node would hold its own activation.
+  // without planning each step output would hold its own activation.
   int num_buffers() const { return static_cast<int>(buffers_.size()); }
   int64_t planned_bytes_per_sample() const;
 
@@ -99,8 +107,7 @@ class FusedEngine : public InferenceEngine {
   // perf_event_open is permitted; otherwise `counters` stays invalid and
   // wall-time profiling is unaffected. `flops` / `bytes` are the step's
   // per-sample arithmetic work and logical tensor traffic (operands +
-  // results; intermediate im2col materialization excluded) — 0 for opaque
-  // module fallbacks, which a roofline report cannot attribute.
+  // results; intermediate im2col materialization excluded).
   struct StepProfile {
     std::string label;
     std::string solver;  // plan-time annotation; empty for untunable kinds
@@ -125,28 +132,31 @@ class FusedEngine : public InferenceEngine {
 
   // The kernel problem descriptors this plan executes at the given batch
   // size (deduplicated): the per-sample im2col GEMM of every conv step, the
-  // batched GEMM of every linear step, and every max-pool. This is the shape
-  // list `gmorph_cli --autotune` feeds the autotuner.
+  // batched GEMM of every linear step (transformer projections and MLPs
+  // included), and every max-pool. This is the shape list
+  // `gmorph_cli --autotune` feeds the autotuner.
   std::vector<kernels::ProblemDesc> KernelProblems(int64_t batch) const;
 
  private:
   enum class OpKind {
     kConv,           // folded conv (+skip add)(+ReLU) epilogue
-    kLinear,         // linear (+ReLU)
+    kLinear,         // linear (+skip add)(+ReLU|GELU)
     kMaxPool,
     kGlobalAvgPool,
     kMeanPoolTokens,
     kBilinearResize,
     kTokenResize,
-    kModule,         // opaque fallback
+    kLayerNorm,      // weight = gamma, bias = beta
+    kAttention,      // fused QKV -> merged heads
+    kPatchTokens,    // ViT conv output -> tokens; weight = positions
+    kEmbedding,      // BERT gather; weight = token table, bias = positions
   };
 
   // One SSA-style activation. Aliases (identity rescale, flatten) resolve to
-  // a root value and share its buffer; module outputs are bound dynamically.
+  // a root value and share its buffer.
   struct Value {
     Shape shape;          // per-sample
     int alias_of = -1;    // root value id if this is an alias entry
-    bool from_module = false;
     bool is_head = false;
     int buffer = -1;      // arena slot (planned root values only)
     int def_seq = -1;
@@ -154,27 +164,27 @@ class FusedEngine : public InferenceEngine {
     // def + every use, as (step seq, group id); used by the happens-before
     // compatibility test during buffer coloring.
     std::vector<std::pair<int, int>> events;
-    // Aliases of this value that must be rebound after its module step runs
-    // (only populated when from_module is set).
-    std::vector<int> dependent_aliases;
   };
 
   struct Step {
-    OpKind kind = OpKind::kModule;
+    OpKind kind = OpKind::kConv;
     int node = -1;     // graph node (profiling / dump)
     std::string label;
     int in0 = -1;      // value ids
-    int skip = -1;     // residual skip value (kConv only)
+    int skip = -1;     // residual skip value (kConv / kLinear)
     int out = -1;
     int group = 0;
-    // kConv: folded parameters. kLinear: handles into the live module.
+    // Folded conv parameters; handles into the live modules for every other
+    // kind (see OpKind for what weight/bias hold).
     Tensor weight;
     Tensor bias;
     Conv2dArgs conv_args;
-    bool relu = false;
+    Activation act = Activation::kNone;  // kConv: ReLU only
     // kMaxPool
     int64_t pool_kernel = 0;
     int64_t pool_stride = 0;
+    int64_t heads = 0;  // kAttention
+    float eps = 0.0f;   // kLayerNorm
     // Solver resolved at plan time for the step's tunable kernel (per-sample
     // descriptor); empty for step kinds without one. Exported with the plan
     // so the PlanVerifier can lint applicability.
@@ -184,8 +194,6 @@ class FusedEngine : public InferenceEngine {
     std::unique_ptr<quant::QConvWeights> qconv;
     std::unique_ptr<quant::QLinearWeights> qlinear;
     bool quantized() const { return qconv != nullptr || qlinear != nullptr; }
-    // kModule
-    Module* module = nullptr;
     // Profiling accumulators (each step is executed by one thread at a time).
     int64_t calls = 0;
     double seconds = 0.0;
@@ -235,7 +243,7 @@ class FusedEngine : public InferenceEngine {
   // the pool). Returns false for step kinds without one.
   bool StepProblemDesc(const Step& step, int64_t batch, kernels::ProblemDesc* desc) const;
   // Per-sample arithmetic work and logical tensor traffic of a step (see
-  // StepProfile::flops/bytes); both 0 for opaque module fallbacks.
+  // StepProfile::flops/bytes).
   void StepCostPerSample(const Step& step, double* flops, double* bytes) const;
   // Records each step's registry-resolved solver name (tuned winner when a
   // tuning DB is loaded, heuristic default otherwise) at batch 1.
@@ -264,7 +272,6 @@ class FusedEngine : public InferenceEngine {
   int num_fused_convs_ = 0;
   int num_eliminated_ = 0;
   int num_fused_linears_ = 0;
-  int num_fallback_modules_ = 0;
   int num_quantized_steps_ = 0;
   // Non-null only while Calibrate() drives observed runs.
   quant::CalibrationObserver* observer_ = nullptr;

@@ -27,7 +27,7 @@ std::vector<double> EngineEvaluateMultiTask(FusedEngine& engine, const MultiTask
 
 // QuantScoreFn implementation (see candidate_eval.h for the contract).
 // Returns within_budget=false with quantized_steps=0 when the plan has no
-// quantizable step (e.g. all-opaque fallbacks).
+// quantizable conv/linear step.
 QuantOutcome ScoreQuantizedEngine(MultiTaskModel& model, const MultiTaskDataset& train,
                                   const MultiTaskDataset& test,
                                   const std::vector<double>& f32_scores,

@@ -7,8 +7,9 @@
 // against the machine's measured ceilings (kernels::MachineCeilings): each
 // step's arithmetic intensity (flop/byte) is compared to the ridge point
 // peak_gflops / triad_gbps and the step is classified compute-bound or
-// memory-bound with its percent-of-roof. Opaque module fallbacks have no cost
-// model and are labeled "opaque" rather than misattributed.
+// memory-bound with its percent-of-roof. A step without a cost model (flops
+// 0) would be labeled "opaque" rather than misattributed; every step the
+// planner emits today has one.
 //
 // Counters may be unavailable (perf_event_open denied); the report then
 // carries counters_available = false with the reason and every derived

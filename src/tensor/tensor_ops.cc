@@ -141,8 +141,47 @@ Tensor Matmul(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+void GeluForwardInto(const Tensor& x, Tensor& out) {
+  CheckSameShape(x, out);
+  const float* px = x.data();
+  float* po = out.data();
+  ParallelFor(0, x.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      po[i] = Gelu(px[i]);
+    }
+  });
+}
+
+void LinearEpilogueRow(float* GMORPH_RESTRICT row, int64_t n, const float* GMORPH_RESTRICT bias,
+                       const float* GMORPH_RESTRICT skip, Activation act) {
+  if (bias != nullptr) {
+    for (int64_t j = 0; j < n; ++j) {
+      row[j] += bias[j];
+    }
+  }
+  if (skip != nullptr) {
+    for (int64_t j = 0; j < n; ++j) {
+      row[j] += skip[j];
+    }
+  }
+  switch (act) {
+    case Activation::kNone:
+      break;
+    case Activation::kRelu:
+      for (int64_t j = 0; j < n; ++j) {
+        row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+      }
+      break;
+    case Activation::kGelu:
+      for (int64_t j = 0; j < n; ++j) {
+        row[j] = Gelu(row[j]);
+      }
+      break;
+  }
+}
+
 void LinearForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, Tensor& out,
-                       bool relu, const kernels::GemmSolver* solver) {
+                       Activation act, const Tensor* skip, const kernels::GemmSolver* solver) {
   GMORPH_CHECK(w.shape().Rank() == 2);
   const int64_t in_features = w.shape()[0];
   const int64_t out_features = w.shape()[1];
@@ -151,6 +190,7 @@ void LinearForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, Tensor
                                             << w.shape().ToString());
   const int64_t rows = x.size() / in_features;
   GMORPH_CHECK(out.size() == rows * out_features);
+  GMORPH_CHECK(skip == nullptr || skip->size() == out.size());
   if (solver != nullptr) {
     const kernels::ProblemDesc desc =
         kernels::GemmProblem(kernels::OpFamily::kGemmNN, rows, in_features, out_features);
@@ -159,25 +199,17 @@ void LinearForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, Tensor
   } else {
     MatmulNN(x.data(), w.data(), out.data(), rows, in_features, out_features);
   }
-  if (b.empty() && !relu) {
+  if (b.empty() && skip == nullptr && act == Activation::kNone) {
     return;
   }
   float* po = out.data();
   const float* pb = b.empty() ? nullptr : b.data();
+  const float* ps = skip == nullptr ? nullptr : skip->data();
   const int64_t grain = std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, out_features));
   ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
-      float* row = po + r * out_features;
-      if (pb != nullptr) {
-        for (int64_t j = 0; j < out_features; ++j) {
-          row[j] += pb[j];
-        }
-      }
-      if (relu) {
-        for (int64_t j = 0; j < out_features; ++j) {
-          row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-        }
-      }
+      LinearEpilogueRow(po + r * out_features, out_features, pb,
+                        ps == nullptr ? nullptr : ps + r * out_features, act);
     }
   });
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 
 #include "src/kernels/solver.h"
+#include "src/tensor/fast_exp.h"
 #include "src/tensor/tensor.h"
 
 namespace gmorph {
@@ -54,14 +55,42 @@ using kernels::RefMatmulTN;
 // ---- Tensor-level matmul: a is (m,k), b is (k,n) ----
 Tensor Matmul(const Tensor& a, const Tensor& b);
 
-// Fused fully-connected forward for the execution planner: out = x * w (+ b)
-// (+ ReLU), written into the preallocated `out`. x is (rows..., in) with
-// leading dims flattened into rows; w is (in, out) row-major; b is (out) or
-// empty. The bias/ReLU epilogue runs row-blocked while rows are cache-hot.
-// `solver` pins the GEMM solver (the fused engine caches the plan-time
-// resolution per binding); nullptr resolves through the registry per call.
+// Pointwise activation a kernel applies in its epilogue.
+enum class Activation : uint8_t {
+  kNone,
+  kRelu,
+  kGelu,  // tanh approximation, see Gelu() below
+};
+
+// GELU (tanh approximation) in its exact sigmoid form:
+//   0.5 v (1 + tanh(u)) = v sigma(2u) = v / (1 + exp(-2u)),
+//   u = sqrt(2/pi) (v + 0.044715 v^3).
+inline constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+inline constexpr float kGeluA = 0.044715f;
+inline float Gelu(float v) {
+  const float u = kGeluC * (v + kGeluA * v * v * v);
+  return v / (1.0f + FastExp(-2.0f * u));
+}
+
+// out = Gelu(x) elementwise; shapes must match.
+void GeluForwardInto(const Tensor& x, Tensor& out);
+
+// The fused fully-connected epilogue on one output row of width n, in place:
+// row += bias (if non-null), row += skip (if non-null), then `act`. Shared by
+// the f32 and the int8 (after dequantization) linear paths.
+void LinearEpilogueRow(float* row, int64_t n, const float* bias, const float* skip,
+                       Activation act);
+
+// Fused fully-connected forward: out = act(x * w + b + skip), written into
+// the preallocated `out`. x is (rows..., in) with leading dims flattened into
+// rows; w is (in, out) row-major; b is (out) or empty; `skip` (same size as
+// out, e.g. a transformer residual) is optional. The epilogue runs
+// row-blocked while rows are cache-hot. `solver` pins the GEMM solver (the
+// fused engine caches the plan-time resolution per binding); nullptr
+// resolves through the registry per call. Linear::Forward runs this too.
 void LinearForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, Tensor& out,
-                       bool relu = false, const kernels::GemmSolver* solver = nullptr);
+                       Activation act = Activation::kNone, const Tensor* skip = nullptr,
+                       const kernels::GemmSolver* solver = nullptr);
 
 // ---- Softmax over the last dimension ----
 Tensor SoftmaxLastDim(const Tensor& x);

@@ -159,6 +159,13 @@ TEST(DtypeAnalysisTest, DetectsInt8OnNonGemmStep) {
   plan.steps[1] = pool;
   const DiagnosticList diags = AnalyzePlanDtypes(plan);
   EXPECT_TRUE(diags.HasRule("plan.dtype.step")) << diags.ToString();
+
+  // A linear with a residual skip-add has no int8 epilogue either.
+  PlanIR skip_plan = CleanChainPlan();
+  skip_plan.steps[1].skip = 0;
+  skip_plan.steps[1].dtype = kernels::DType::kInt8;
+  const DiagnosticList skip_diags = AnalyzePlanDtypes(skip_plan);
+  EXPECT_TRUE(skip_diags.HasRule("plan.dtype.step")) << skip_diags.ToString();
 }
 
 TEST(DtypeAnalysisTest, DetectsInt8OperandAtKernelBoundary) {

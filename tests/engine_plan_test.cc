@@ -1,6 +1,7 @@
 // Tests for the FusedEngine execution planner: eager/fused parity across the
 // model zoo and mutated graphs, bitwise determinism, branch-parallel
-// scheduling, and the zero-allocation steady state of the static memory plan.
+// scheduling (CNN and transformer bundles), full lowering with costed steps,
+// and the zero-allocation steady state of the static memory plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,6 +9,7 @@
 #include "src/common/parallel_for.h"
 #include "src/core/model_parser.h"
 #include "src/core/mutation.h"
+#include "src/kernels/scratch.h"
 #include "src/models/zoo.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/fused_engine.h"
@@ -138,54 +140,128 @@ TEST(EnginePlanTest, MutatedGraphWithRescalesMatchesEager) {
   }
 }
 
+// Two-task transformer bundles (B6/B7 style: a base and a large encoder on
+// one input), whose per-task subtrees fork into parallel branches that run
+// LayerNorm, attention and the epilogue-fused linears.
+std::vector<std::vector<ModelSpec>> TransformerBundles() {
+  TransformerModelOptions vit_base = ViTBaseOptions();
+  TransformerModelOptions vit_large = ViTLargeOptions();
+  TransformerModelOptions bert_base = BertBaseOptions();
+  TransformerModelOptions bert_large = BertLargeOptions();
+  return {{MakeViT("vit-l", vit_large), MakeViT("vit-b", vit_base)},
+          {MakeBert("bert-l", bert_large), MakeBert("bert-b", bert_base)}};
+}
+
 TEST(EnginePlanTest, BranchParallelMatchesSerialBitwise) {
-  Rng rng(15);
   VisionModelOptions opts;
   opts.base_width = 4;
-  AbsGraph g = ParseModelSpecs({MakeVgg11(opts), MakeVgg13(opts), MakeResNet18(opts)});
-  MultiTaskModel model(g, rng);
-  FusedEngine::Options serial_opts;
-  serial_opts.branch_parallel = false;
-  FusedEngine parallel_engine(&model);
-  FusedEngine serial_engine(&model, serial_opts);
-  const Tensor x = Tensor::RandomGaussian(Shape{2, 3, 32, 32}, rng);
-  std::vector<Tensor> par = parallel_engine.Run(x);
-  std::vector<Tensor> ser = serial_engine.Run(x);
-  ASSERT_EQ(par.size(), ser.size());
-  for (size_t t = 0; t < par.size(); ++t) {
-    EXPECT_EQ(testing::MaxDiff(par[t], ser[t]), 0.0f);
+  std::vector<std::vector<ModelSpec>> bundles = TransformerBundles();
+  bundles.insert(bundles.begin(), {MakeVgg11(opts), MakeVgg13(opts), MakeResNet18(opts)});
+  for (const std::vector<ModelSpec>& specs : bundles) {
+    Rng rng(15);
+    AbsGraph g = ParseModelSpecs(specs);
+    MultiTaskModel model(g, rng);
+    FusedEngine::Options serial_opts;
+    serial_opts.branch_parallel = false;
+    FusedEngine parallel_engine(&model);
+    FusedEngine serial_engine(&model, serial_opts);
+    const Tensor x = InputFor(specs[0], /*batch=*/2, rng);
+    std::vector<Tensor> par = parallel_engine.Run(x);
+    std::vector<Tensor> ser = serial_engine.Run(x);
+    ASSERT_EQ(par.size(), ser.size());
+    for (size_t t = 0; t < par.size(); ++t) {
+      EXPECT_EQ(testing::MaxDiff(par[t], ser[t]), 0.0f) << specs[0].name;
+    }
   }
 }
 
 TEST(EnginePlanDeterminismTest, RunIsBitwiseStableAcrossCallsAndThreadCounts) {
-  Rng rng(16);
   VisionModelOptions opts;
   opts.base_width = 4;
-  AbsGraph g = ParseModelSpecs({MakeVgg11(opts), MakeResNet18(opts)});
-  MultiTaskModel model(g, rng);
-  FusedEngine fused(&model);
-  const Tensor x = Tensor::RandomGaussian(Shape{3, 3, 32, 32}, rng);
-
+  std::vector<std::vector<ModelSpec>> bundles = TransformerBundles();
+  bundles.insert(bundles.begin(), {MakeVgg11(opts), MakeResNet18(opts)});
   const int restore_threads = KernelThreads();
-  std::vector<Tensor> baseline;
-  for (int threads : {1, 2, 4}) {
-    SetKernelThreads(threads);
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      std::vector<Tensor> out = fused.Run(x);
-      if (baseline.empty()) {
-        for (Tensor& t : out) {
-          baseline.push_back(t.Clone());  // outputs alias engine buffers
+  for (const std::vector<ModelSpec>& specs : bundles) {
+    Rng rng(16);
+    AbsGraph g = ParseModelSpecs(specs);
+    MultiTaskModel model(g, rng);
+    FusedEngine fused(&model);
+    const Tensor x = InputFor(specs[0], /*batch=*/3, rng);
+
+    std::vector<Tensor> baseline;
+    for (int threads : {1, 2, 4}) {
+      SetKernelThreads(threads);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        std::vector<Tensor> out = fused.Run(x);
+        if (baseline.empty()) {
+          for (Tensor& t : out) {
+            baseline.push_back(t.Clone());  // outputs alias engine buffers
+          }
+          continue;
         }
-        continue;
-      }
-      ASSERT_EQ(out.size(), baseline.size());
-      for (size_t t = 0; t < out.size(); ++t) {
-        EXPECT_EQ(testing::MaxDiff(out[t], baseline[t]), 0.0f)
-            << "threads=" << threads << " repeat=" << repeat;
+        ASSERT_EQ(out.size(), baseline.size());
+        for (size_t t = 0; t < out.size(); ++t) {
+          EXPECT_EQ(testing::MaxDiff(out[t], baseline[t]), 0.0f)
+              << specs[0].name << " threads=" << threads << " repeat=" << repeat;
+        }
       }
     }
   }
   SetKernelThreads(restore_threads);
+}
+
+TEST(EnginePlanTest, EveryZooModelLowersIntoCostedSteps) {
+  for (const ZooCase& c : ZooCases()) {
+    Rng rng(19);
+    AbsGraph g = ParseModelSpecs({c.spec});
+    MultiTaskModel model(g, rng);
+    FusedEngine fused(&model);
+    EXPECT_EQ(fused.num_fallback_modules(), 0) << c.name;
+    fused.Run(InputFor(c.spec, /*batch=*/1, rng));
+    // Every step carries a cost model, so the roofline report has no opaque
+    // rows; transformer blocks show up as their lowered steps.
+    int attention_steps = 0;
+    for (const FusedEngine::StepProfile& step : fused.Profile()) {
+      EXPECT_GT(step.flops, 0.0) << c.name << " " << step.label;
+      EXPECT_GT(step.bytes, 0.0) << c.name << " " << step.label;
+      attention_steps += step.label.rfind("attention", 0) == 0 ? 1 : 0;
+    }
+    int blocks = 0;
+    for (const BlockSpec& block : c.spec.blocks) {
+      blocks += block.type == BlockType::kTransformer ? 1 : 0;
+    }
+    EXPECT_EQ(attention_steps, blocks) << c.name;
+  }
+}
+
+TEST(EnginePlanTest, TransformerSteadyStateAllocatesNothing) {
+  for (const std::vector<ModelSpec>& specs : TransformerBundles()) {
+    Rng rng(20);
+    AbsGraph g = ParseModelSpecs(specs);
+    MultiTaskModel model(g, rng);
+    FusedEngine fused(&model);
+    const Tensor x1 = InputFor(specs[0], /*batch=*/1, rng);
+    const Tensor x4 = InputFor(specs[0], /*batch=*/4, rng);
+    // f32 first, then the same plan after int8 quantization: once each batch
+    // size is bound (and the scratch arena has grown to the widest step),
+    // Run() touches neither the tensor allocator nor the arena's heap.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) {
+        ASSERT_GT(fused.Quantize(fused.Calibrate({x4})), 0) << specs[0].name;
+      }
+      fused.Run(x1);
+      fused.Run(x4);
+      const int64_t tensor_bytes = Tensor::TotalAllocatedBytes();
+      const int64_t scratch_bytes = ScratchArena::TotalHeapBytes();
+      for (int i = 0; i < 3; ++i) {
+        fused.Run(x1);
+        fused.Run(x4);
+      }
+      EXPECT_EQ(Tensor::TotalAllocatedBytes(), tensor_bytes) << specs[0].name << " pass " << pass;
+      EXPECT_EQ(ScratchArena::TotalHeapBytes(), scratch_bytes)
+          << specs[0].name << " pass " << pass;
+    }
+  }
 }
 
 TEST(EnginePlanTest, SteadyStateRunAllocatesNoTensorStorage) {

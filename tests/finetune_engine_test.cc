@@ -189,7 +189,7 @@ TEST(EngineTest, FusedNotSlowerThanEager) {
   EXPECT_LT(lat_fused, lat_eager * 1.15);  // allow timer noise
 }
 
-TEST(EngineTest, TransformerFallbackPath) {
+TEST(EngineTest, TransformerPlanMatchesEager) {
   Rng rng(9);
   TransformerModelOptions vit = ViTBaseOptions();
   vit.classes = 3;

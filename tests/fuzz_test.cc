@@ -128,6 +128,7 @@ TEST_P(VerifierFuzzTest, MutatedGraphsAndPlansVerifyClean) {
 
     MultiTaskModel model(g, rng);
     FusedEngine engine(&model);
+    EXPECT_EQ(engine.num_fallback_modules(), 0) << "bench " << bench << " trial " << trial;
     const DiagnosticList plan_verdict = VerifyPlan(engine.ExportPlan());
     ASSERT_TRUE(plan_verdict.ok())
         << "bench " << bench << " trial " << trial << ":\n" << plan_verdict.ToString();
@@ -429,12 +430,17 @@ TEST(ArtifactFuzzTest, EvalCacheLinterFlagsWhatTheLoaderReports) {
 
 TEST(ArtifactFuzzTest, PlanTextParsesOrReportsAndParsedPlansVerify) {
   const std::string dir = ArtifactDir("plan");
-  Rng model_rng(5);
-  MultiTaskModel model(GraphForBenchmark(1), model_rng);
-  FusedEngine engine(&model);
-  std::ostringstream fresh;
-  PlanToText(engine.ExportPlan(), fresh);
-  std::vector<std::string> seeds = {fresh.str()};
+  // Fresh exports of a CNN bundle (B1) and both transformer bundles (B6 ViT,
+  // B7 BERT), so every step kind and epilogue token gets mutated.
+  std::vector<std::string> seeds;
+  for (int bench : {1, 6, 7}) {
+    Rng model_rng(5);
+    MultiTaskModel model(GraphForBenchmark(bench), model_rng);
+    FusedEngine engine(&model);
+    std::ostringstream fresh;
+    PlanToText(engine.ExportPlan(), fresh);
+    seeds.push_back(fresh.str());
+  }
   for (const char* fixture : {"plan_clean.plan", "plan_buffer_overlap.plan",
                               "plan_dtype_int8_value.plan", "plan_mem_arena_short.plan"}) {
     seeds.push_back(ReadFile(Testdata(fixture)));

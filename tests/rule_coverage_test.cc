@@ -471,6 +471,19 @@ std::vector<Scenario> PlanScenarios() {
        [] { return CorruptChain([](PlanIR& p) { p.steps[1].kind = PlanOp::kBilinearResize; }); }},
       {"plan.shape.tokresize",
        [] { return CorruptChain([](PlanIR& p) { p.steps[1].kind = PlanOp::kTokenResize; }); }},
+      {"plan.shape.layernorm",
+       [] { return CorruptChain([](PlanIR& p) { p.steps[1].kind = PlanOp::kLayerNorm; }); }},
+      {"plan.shape.attention",
+       [] {
+         return CorruptChain([](PlanIR& p) {
+           p.steps[1].kind = PlanOp::kAttention;
+           p.steps[1].heads = 1;
+         });
+       }},
+      {"plan.shape.tokens",
+       [] { return CorruptChain([](PlanIR& p) { p.steps[1].kind = PlanOp::kPatchTokens; }); }},
+      {"plan.shape.embed",
+       [] { return CorruptChain([](PlanIR& p) { p.steps[1].kind = PlanOp::kEmbedding; }); }},
       // ---- Solver annotations --------------------------------------------
       {"plan.solver.kind",
        [] {
@@ -495,8 +508,6 @@ std::vector<Scenario> PlanScenarios() {
          return VerifyPlan(plan);
        }},
       // ---- Buffer assignment ---------------------------------------------
-      {"plan.buffer.module",
-       [] { return CorruptChain([](PlanIR& p) { p.values[1].from_module = true; }); }},
       {"plan.buffer.unassigned",
        [] { return CorruptChain([](PlanIR& p) { p.values[1].buffer = -1; }); }},
       {"plan.buffer.size",
