@@ -7,14 +7,16 @@
 namespace gmorph::kernels {
 namespace {
 
-// The historical dispatch thresholds (formerly hard-coded in
-// src/tensor/tensor_ops.cc). The heuristic below must reproduce that
-// dispatch exactly so an untuned process stays bit-identical to the
-// pre-registry kernels.
+// Dispatch thresholds of the untuned heuristic (kWideMinN is in registry.h).
 constexpr int64_t kTinyFlops = 8192;  // below: the reference loops win
-constexpr int64_t kWideMinN = 24;     // wide tile needs most of a 32-col strip
 constexpr int64_t kDotMinK = 24;      // dot path needs k >= ~16 lanes to win
-constexpr int64_t kDirectMaxFloats = 48 * 1024;  // working set of the no-pack path
+// NN: the direct tiles stream B (k x n) unpacked once per row tile, and beat
+// packing while it stays cache-resident. Measured on one and three threads,
+// direct won at every k·n up to 147K floats (e.g. 8x72x1024: 6 vs 13 us) and
+// packed first won at 262K single-threaded, so the cut sits below both.
+constexpr int64_t kDirectMaxStreamFloats = 128 * 1024;
+// NT / TN: the whole working set m·k + k·n + m·n of the no-pack path.
+constexpr int64_t kDirectMaxFloats = 48 * 1024;
 
 }  // namespace
 
@@ -96,18 +98,19 @@ const GemmSolver* SolverRegistry::HeuristicGemm(const ProblemDesc& desc) const {
     return GemmRefSolver();
   }
   if (desc.n >= kWideMinN) {
-    const int64_t footprint = desc.m * desc.k + desc.k * desc.n + desc.m * desc.n;
-    if (footprint <= kDirectMaxFloats) {
-      return GemmDirectSolver();
-    }
-    return GemmPackedSolver();
+    const bool direct =
+        desc.op == OpFamily::kGemmNN
+            ? desc.k * desc.n <= kDirectMaxStreamFloats
+            : desc.m * desc.k + desc.k * desc.n + desc.m * desc.n <= kDirectMaxFloats;
+    return direct ? GemmDirectSolver() : GemmPackedSolver();
   }
   return GemmDotSolver();
 }
 
 const PoolSolver* SolverRegistry::HeuristicPool(const ProblemDesc& desc) const {
-  (void)desc;
-  return PoolGenericSolver();
+  // Bitwise identical to the generic loop where it applies, and several
+  // times faster (the B1 plan's pools: 0.21 -> 0.03 ms per batch-8 run).
+  return Pool2x2Solver()->IsApplicable(desc) ? Pool2x2Solver() : PoolGenericSolver();
 }
 
 const QGemmSolver* SolverRegistry::HeuristicQGemm(const ProblemDesc& desc) const {

@@ -1,18 +1,24 @@
 // The solver registry: enumerates the solvers that can run a ProblemDesc,
 // resolves names from plans and tuning-DB entries, and picks the solver a
 // kernel call actually uses — the tuned winner when the global tuning DB has
-// an applicable entry, otherwise the shape heuristic that reproduces the
-// pre-registry dispatch exactly (so an untuned process is bit-identical to
-// the old hard-coded paths).
+// an applicable entry, otherwise the shape heuristic (the measured winners on
+// this repo's shapes; DESIGN.md §5b lists its rules).
 #ifndef GMORPH_SRC_KERNELS_REGISTRY_H_
 #define GMORPH_SRC_KERNELS_REGISTRY_H_
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
 #include "src/kernels/solver.h"
 
 namespace gmorph::kernels {
+
+// Narrowest N the wide micro-kernels (gemm.direct, gemm.packed) are picked
+// for: each register tile spans a 32-column strip. Narrower products run the
+// dot path, so the fused engine folds a conv's batch into one GEMM when its
+// per-sample width is below this.
+inline constexpr int64_t kWideMinN = 24;
 
 class SolverRegistry {
  public:
@@ -44,9 +50,10 @@ class SolverRegistry {
   const PoolSolver* ResolvePool(const ProblemDesc& desc) const;
   const QGemmSolver* ResolveQGemm(const ProblemDesc& desc) const;
 
-  // The untuned default: reproduces the historical hard-coded dispatch
-  // (tiny/narrow -> reference, wide cache-resident -> direct, wide -> packed,
-  // narrow-N -> dot; generic pooling).
+  // The untuned default: tiny/narrow -> reference, narrow-N -> dot, wide ->
+  // direct while its operands stay cache-resident (NN: k·n <= 128K floats;
+  // NT/TN: whole footprint <= 48K floats), else packed; 2x2/stride-2
+  // max-pool -> pool.2x2s2, any other window -> pool.generic.
   const GemmSolver* HeuristicGemm(const ProblemDesc& desc) const;
   const PoolSolver* HeuristicPool(const ProblemDesc& desc) const;
   const QGemmSolver* HeuristicQGemm(const ProblemDesc& desc) const;

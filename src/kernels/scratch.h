@@ -7,8 +7,11 @@
 //  - Open a ScratchScope at the top of a kernel; every AllocFloats() through
 //    that scope (or a nested one) is released when the scope closes.
 //  - Pointers are valid until their scope closes. Never store them across
-//    calls and never hand them to another thread: the arena is thread-local,
-//    and a parallel worker must open its own scope inside the parallel region.
+//    calls. Other threads may use them only as workers of a ParallelFor
+//    issued while the scope is open (it joins before the scope can close),
+//    e.g. shared packed GEMM panels or a column matrix workers fill. The arena
+//    is thread-local: a worker that needs scratch of its own opens its own
+//    scope inside the parallel region.
 //  - Scopes nest like a stack; closing out of order is a bug (checked).
 #ifndef GMORPH_SRC_KERNELS_SCRATCH_H_
 #define GMORPH_SRC_KERNELS_SCRATCH_H_

@@ -526,30 +526,36 @@ bool FusedEngine::StepProblemDesc(const Step& step, int64_t batch,
                                   kernels::ProblemDesc* desc) const {
   switch (step.kind) {
     case OpKind::kConv: {
-      // The per-sample im2col GEMM of Conv2dForwardInto: W[O, C*KH*KW] times
-      // the column matrix [C*KH*KW, OH*OW]. It always runs inside the
-      // per-batch ParallelFor, i.e. in the serial nested regime. A quantized
-      // step runs the transposed orientation instead — col_u8[OH*OW, C*KH*KW]
-      // times Wt_s8[C*KH*KW, O] — so rows and columns swap.
+      // The im2col GEMM of Conv2dForwardInto: W[O, C*KH*KW] times the column
+      // matrix [C*KH*KW, OH*OW]. Per sample it runs inside the per-batch
+      // ParallelFor, i.e. in the serial nested regime. When OH*OW is too
+      // narrow for the wide micro-kernels, a batch > 1 folds into one GEMM
+      // over [C*KH*KW, batch*OH*OW] that runs outside that loop. A quantized
+      // step runs the transposed orientation per sample — col_u8[OH*OW,
+      // C*KH*KW] times Wt_s8[C*KH*KW, O] — so rows and columns swap.
       const Shape& w = step.weight.shape();
       const Shape& out = values_[static_cast<size_t>(step.out)].shape;
       if (w.Rank() != 4 || out.Rank() != 3) {
         return false;
       }
+      const int64_t spatial = out[1] * out[2];
       desc->op = kernels::OpFamily::kGemmNN;
+      desc->k = w[1] * w[2] * w[3];
+      desc->aux0 = desc->aux1 = 0;
+      desc->threads = 1;
       if (step.qconv != nullptr) {
         desc->dtype = kernels::DType::kInt8;
-        desc->m = out[1] * out[2];
-        desc->k = w[1] * w[2] * w[3];
+        desc->m = spatial;
         desc->n = w[0];
       } else {
         desc->dtype = kernels::DType::kF32;
         desc->m = w[0];
-        desc->k = w[1] * w[2] * w[3];
-        desc->n = out[1] * out[2];
+        desc->n = spatial;
+        if (batch > 1 && spatial < kernels::kWideMinN) {
+          desc->n = batch * spatial;
+          desc->threads = GroupThreads(step.group);
+        }
       }
-      desc->aux0 = desc->aux1 = 0;
-      desc->threads = 1;
       return true;
     }
     case OpKind::kLinear: {
@@ -590,20 +596,40 @@ bool FusedEngine::StepProblemDesc(const Step& step, int64_t batch,
   }
 }
 
-void FusedEngine::AnnotateSolvers() {
+const char* FusedEngine::Pin::name() const {
+  if (gemm != nullptr) {
+    return gemm->name();
+  }
+  if (qgemm != nullptr) {
+    return qgemm->name();
+  }
+  return pool != nullptr ? pool->name() : "";
+}
+
+FusedEngine::Pin FusedEngine::PinStep(const Step& step, int64_t batch) const {
+  Pin pin;
+  kernels::ProblemDesc desc;
+  if (!StepProblemDesc(step, batch, &desc)) {
+    return pin;
+  }
   const kernels::SolverRegistry& registry = kernels::SolverRegistry::Global();
+  if (desc.op == kernels::OpFamily::kMaxPool) {
+    pin.pool = registry.ResolvePool(desc);
+  } else if (desc.dtype == kernels::DType::kInt8) {
+    pin.qgemm = registry.ResolveQGemm(desc);
+  } else {
+    pin.gemm = registry.ResolveGemm(desc);
+    if (step.kind == OpKind::kConv) {
+      const Shape& out = values_[static_cast<size_t>(step.out)].shape;
+      pin.fold_batch = desc.n != out[1] * out[2];
+    }
+  }
+  return pin;
+}
+
+void FusedEngine::AnnotateSolvers() {
   for (Step& step : steps_) {
-    kernels::ProblemDesc desc;
-    if (!StepProblemDesc(step, /*batch=*/1, &desc)) {
-      continue;
-    }
-    if (desc.op == kernels::OpFamily::kMaxPool) {
-      step.solver = registry.ResolvePool(desc)->name();
-    } else if (desc.dtype == kernels::DType::kInt8) {
-      step.solver = registry.ResolveQGemm(desc)->name();
-    } else {
-      step.solver = registry.ResolveGemm(desc)->name();
-    }
+    step.solver = PinStep(step, /*batch=*/1).name();
   }
 }
 
@@ -730,29 +756,13 @@ FusedEngine::Binding& FusedEngine::BindingFor(int64_t batch) {
                                              : bind->buffers[static_cast<size_t>(val.buffer)];
     bind->values[v] = storage.Reshape(val.shape.WithBatch(batch));
   }
-  // Pin each linear step's GEMM solver once per (plan, batch): m scales with
-  // the batch, so the descriptor — and with it the tuned winner — can differ
-  // between bindings. Steady-state Run() then never touches the tuning DB.
-  bind->step_solvers.assign(steps_.size(), nullptr);
-  bind->step_qsolvers.assign(steps_.size(), nullptr);
-  for (size_t s = 0; s < steps_.size(); ++s) {
-    const Step& step = steps_[s];
-    kernels::ProblemDesc desc;
-    if (step.quantized()) {
-      // Quantized conv and linear both pin their u8·s8 solver here (conv's
-      // per-sample descriptor does not depend on the batch, but pinning keeps
-      // every steady-state path free of tuning-DB lookups).
-      if (StepProblemDesc(step, batch, &desc)) {
-        bind->step_qsolvers[s] = kernels::SolverRegistry::Global().ResolveQGemm(desc);
-      }
-      continue;
-    }
-    if (step.kind != OpKind::kLinear) {
-      continue;
-    }
-    if (StepProblemDesc(step, batch, &desc)) {
-      bind->step_solvers[s] = kernels::SolverRegistry::Global().ResolveGemm(desc);
-    }
+  // Pin every conv, linear and pool step's solver once per (plan, batch):
+  // linear m, pool planes and folded conv n scale with the batch, so the
+  // descriptor — and with it the tuned winner — can differ between bindings.
+  // Steady-state Run() then never touches the registry or the tuning DB.
+  bind->pins.reserve(steps_.size());
+  for (const Step& step : steps_) {
+    bind->pins.push_back(PinStep(step, batch));
   }
   Binding& ref = *bind;
   bindings_.emplace(batch, std::move(bind));
@@ -818,28 +828,26 @@ void FusedEngine::ExecStep(int seq, Binding& bind) {
       (step.kind == OpKind::kConv || step.kind == OpKind::kLinear)) {
     observer_->Observe(seq, in.data(), in.size());
   }
+  const Pin& pin = bind.pins[static_cast<size_t>(seq)];
   switch (step.kind) {
     case OpKind::kConv:
       if (step.qconv != nullptr) {
         quant::QConv2dForwardInto(in, *step.qconv, step.conv_args, out, skip,
-                                  step.act == Activation::kRelu,
-                                  bind.step_qsolvers[static_cast<size_t>(seq)]);
+                                  step.act == Activation::kRelu, pin.qgemm);
       } else {
         Conv2dForwardInto(in, step.weight, step.bias, step.conv_args, out, skip,
-                          step.act == Activation::kRelu);
+                          step.act == Activation::kRelu, pin.gemm, pin.fold_batch);
       }
       break;
     case OpKind::kLinear:
       if (step.qlinear != nullptr) {
-        quant::QLinearForwardInto(in, *step.qlinear, out, step.act,
-                                  bind.step_qsolvers[static_cast<size_t>(seq)]);
+        quant::QLinearForwardInto(in, *step.qlinear, out, step.act, pin.qgemm);
       } else {
-        LinearForwardInto(in, step.weight, step.bias, out, step.act, skip,
-                          bind.step_solvers[static_cast<size_t>(seq)]);
+        LinearForwardInto(in, step.weight, step.bias, out, step.act, skip, pin.gemm);
       }
       break;
     case OpKind::kMaxPool:
-      MaxPool2dForwardInto(in, step.pool_kernel, step.pool_stride, out);
+      MaxPool2dForwardInto(in, step.pool_kernel, step.pool_stride, out, pin.pool);
       break;
     case OpKind::kGlobalAvgPool:
       GlobalAvgPoolForwardInto(in, out);

@@ -5,9 +5,12 @@
 //   1. BN folding      — every Conv+BN pair (VGG layers, ResNet stem, the
 //                        three convolutions of a residual block) becomes a
 //                        single convolution with folded weights/bias.
-//   2. Epilogue fusion — ReLU and the residual skip-add are applied inside
-//                        the conv kernel's per-sample epilogue
-//                        (Conv2dForwardInto); linears fuse bias, residual
+//   2. Epilogue fusion — bias, the residual skip-add and ReLU are applied
+//                        in the pass that writes each conv sample's GEMM
+//                        result (Conv2dForwardInto); at batch > 1 a conv
+//                        whose OH*OW is narrower than the wide GEMM tile
+//                        folds the batch into one GEMM whose epilogue also
+//                        scatters it back to NCHW; linears fuse bias, residual
 //                        skip-add and ReLU/GELU the same way
 //                        (LinearForwardInto). A transformer block lowers to
 //                        LayerNorm, QKV linear, attention, proj linear (+skip),
@@ -131,10 +134,12 @@ class FusedEngine : public InferenceEngine {
   PlanIR ExportPlan() const;
 
   // The kernel problem descriptors this plan executes at the given batch
-  // size (deduplicated): the per-sample im2col GEMM of every conv step, the
-  // batched GEMM of every linear step (transformer projections and MLPs
-  // included), and every max-pool. This is the shape list
-  // `gmorph_cli --autotune` feeds the autotuner.
+  // size (deduplicated): the im2col GEMM of every conv step (per sample, or
+  // batch-folded for narrow convs at batch > 1), the batched GEMM of every
+  // linear step (transformer projections and MLPs included), and every
+  // max-pool. They are exactly the descriptors a binding at that batch pins
+  // solvers for, and the shape list `gmorph_cli --autotune` feeds the
+  // autotuner.
   std::vector<kernels::ProblemDesc> KernelProblems(int64_t batch) const;
 
  private:
@@ -185,9 +190,9 @@ class FusedEngine : public InferenceEngine {
     int64_t pool_stride = 0;
     int64_t heads = 0;  // kAttention
     float eps = 0.0f;   // kLayerNorm
-    // Solver resolved at plan time for the step's tunable kernel (per-sample
-    // descriptor); empty for step kinds without one. Exported with the plan
-    // so the PlanVerifier can lint applicability.
+    // Solver resolved at plan time for the step's tunable kernel at batch 1;
+    // empty for step kinds without one. Exported with the plan so the
+    // PlanVerifier can lint applicability.
     std::string solver;
     // Set by Quantize(): packed int8 parameters for kConv / kLinear steps.
     // A step with one of these executes on the u8·s8 path.
@@ -214,16 +219,23 @@ class FusedEngine : public InferenceEngine {
     std::vector<int> values;
   };
 
+  // The solver a step's tunable kernel runs at one batch size, resolved from
+  // StepProblemDesc. At most one pointer is set; none for untunable kinds.
+  struct Pin {
+    const kernels::GemmSolver* gemm = nullptr;    // f32 kConv / kLinear
+    const kernels::QGemmSolver* qgemm = nullptr;  // int8 kConv / kLinear
+    const kernels::PoolSolver* pool = nullptr;    // kMaxPool
+    bool fold_batch = false;  // f32 kConv: the descriptor spans the batch
+    const char* name() const;  // "" when no solver is pinned
+  };
+
   // Buffers and per-value tensor handles materialized for one batch size.
   struct Binding {
     std::vector<Tensor> buffers;
     std::vector<Tensor> values;
-    // Per-step GEMM solver pinned at binding time (kLinear only; nullptr for
-    // other kinds). Resolving once per (plan, batch) keeps the steady-state
-    // Run() free of tuning-DB lookups.
-    std::vector<const kernels::GemmSolver*> step_solvers;
-    // Same, for quantized steps (kConv and kLinear on the int8 path).
-    std::vector<const kernels::QGemmSolver*> step_qsolvers;
+    // Per-step solvers pinned when the binding is made, so steady-state Run()
+    // never consults the registry or the tuning DB.
+    std::vector<Pin> pins;
   };
 
   // ---- Construction passes ----
@@ -238,15 +250,20 @@ class FusedEngine : public InferenceEngine {
   // Parallelism a step in `group` runs under: 1 inside a branch-parallel
   // fork (kernels nest to serial there), the kernel pool width otherwise.
   int GroupThreads(int group) const;
-  // Fills `desc` with the step's tunable-kernel descriptor at `batch`
-  // (kConv: the per-sample im2col GEMM; kLinear: the batched GEMM; kMaxPool:
-  // the pool). Returns false for step kinds without one.
+  // Fills `desc` with the kernel problem the step runs at `batch`, and is
+  // the one place that decides it. kConv: the im2col GEMM — per sample in
+  // the serial regime, or, at batch > 1 when OH*OW is below kWideMinN
+  // (f32 only), one GEMM with n = batch*OH*OW under the group's
+  // parallelism; kLinear: the batched GEMM; kMaxPool: the pool over every
+  // plane. Returns false for step kinds without one.
   bool StepProblemDesc(const Step& step, int64_t batch, kernels::ProblemDesc* desc) const;
+  // Resolves the solver for StepProblemDesc(step, batch) through the
+  // registry (tuned winner when a DB is loaded, else the heuristic).
+  Pin PinStep(const Step& step, int64_t batch) const;
   // Per-sample arithmetic work and logical tensor traffic of a step (see
   // StepProfile::flops/bytes).
   void StepCostPerSample(const Step& step, double* flops, double* bytes) const;
-  // Records each step's registry-resolved solver name (tuned winner when a
-  // tuning DB is loaded, heuristic default otherwise) at batch 1.
+  // Records each step's batch-1 pinned solver name (Step::solver).
   void AnnotateSolvers();
   // Runs the PlanVerifier over ExportPlan(): always in debug builds, opt-in
   // via GMORPH_VERIFY=1 in release. Fatal on error (a planner bug).

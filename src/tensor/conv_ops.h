@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/kernels/solver.h"
 #include "src/tensor/tensor.h"
 
 namespace gmorph {
@@ -25,12 +26,21 @@ int64_t ConvOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t padding);
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args);
 
 // Out-parameter variant used by the execution planner: writes into the
-// preallocated `out` (N,O,OH,OW) and optionally fuses an epilogue into the
-// per-sample loop — `skip` (same shape as out) is added to the conv result
-// and `relu` clamps at zero, so residual tails and activations cost no extra
+// preallocated `out` (N,O,OH,OW) and fuses an epilogue into the pass that
+// writes each sample's result — bias, then `skip` (same shape as out), then
+// `relu` clamping at zero — so residual tails and activations cost no extra
 // pass over memory and no allocation.
+//
+// By default each sample runs its own im2col GEMM [O, C*KH*KW] x
+// [C*KH*KW, OH*OW] inside a parallel loop over the batch. With `fold_batch`
+// the batch runs as one GEMM over [C*KH*KW, N*OH*OW] instead, which keeps
+// the wide micro-kernels busy when OH*OW alone is narrow; the results equal
+// the per-sample ones up to summation order. `solver` pins the GEMM solver
+// for whichever descriptor runs (the fused engine resolves it once per
+// binding); nullptr resolves it through the registry per call.
 void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args,
-                       Tensor& out, const Tensor* skip = nullptr, bool relu = false);
+                       Tensor& out, const Tensor* skip = nullptr, bool relu = false,
+                       const kernels::GemmSolver* solver = nullptr, bool fold_batch = false);
 
 // Gradients of the same convolution. `grad_w`/`grad_b` are accumulated into
 // (caller zeroes them at the start of a step); returns grad_x.
@@ -42,7 +52,10 @@ Tensor Conv2dBackward(const Tensor& x, const Tensor& w, const Tensor& grad_out,
 Tensor MaxPool2dForward(const Tensor& x, int64_t kernel, int64_t stride,
                         std::vector<int64_t>& argmax);
 // Inference-only variant: no argmax bookkeeping, writes into preallocated out.
-void MaxPool2dForwardInto(const Tensor& x, int64_t kernel, int64_t stride, Tensor& out);
+// `solver` pins the pool solver (the fused engine's per-binding resolution);
+// nullptr resolves it through the registry per call.
+void MaxPool2dForwardInto(const Tensor& x, int64_t kernel, int64_t stride, Tensor& out,
+                          const kernels::PoolSolver* solver = nullptr);
 Tensor MaxPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
                          const std::vector<int64_t>& argmax);
 

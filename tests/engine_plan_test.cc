@@ -1,16 +1,24 @@
 // Tests for the FusedEngine execution planner: eager/fused parity across the
 // model zoo and mutated graphs, bitwise determinism, branch-parallel
 // scheduling (CNN and transformer bundles), full lowering with costed steps,
-// and the zero-allocation steady state of the static memory plan.
+// batched rows against single-sample runs, solvers pinned per binding, and
+// the zero-allocation steady state of the static memory plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "src/common/parallel_for.h"
 #include "src/core/model_parser.h"
 #include "src/core/mutation.h"
+#include "src/data/benchmarks.h"
+#include "src/kernels/registry.h"
 #include "src/kernels/scratch.h"
+#include "src/kernels/tune_db.h"
 #include "src/models/zoo.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/fused_engine.h"
 #include "tests/test_util.h"
@@ -19,9 +27,9 @@ namespace gmorph {
 namespace {
 
 // Gaussian images for vision models, integer token ids for BERT.
-Tensor InputFor(const ModelSpec& spec, int64_t batch, Rng& rng) {
-  const Shape shape = spec.input_shape.WithBatch(batch);
-  if (spec.input_shape.Rank() == 1) {
+Tensor InputFor(const Shape& per_sample, int64_t batch, Rng& rng) {
+  const Shape shape = per_sample.WithBatch(batch);
+  if (per_sample.Rank() == 1) {
     Tensor x = Tensor::Zeros(shape);
     for (int64_t i = 0; i < x.size(); ++i) {
       x.at(i) = std::floor(rng.NextDouble() * 8.0);
@@ -29,6 +37,10 @@ Tensor InputFor(const ModelSpec& spec, int64_t batch, Rng& rng) {
     return x;
   }
   return Tensor::RandomGaussian(shape, rng);
+}
+
+Tensor InputFor(const ModelSpec& spec, int64_t batch, Rng& rng) {
+  return InputFor(spec.input_shape, batch, rng);
 }
 
 struct ZooCase {
@@ -269,8 +281,10 @@ TEST(EnginePlanTest, SteadyStateRunAllocatesNoTensorStorage) {
   VisionModelOptions opts;
   opts.base_width = 4;
   // Fully-lowerable bundle (convs, pools, flatten, linears — no fallbacks):
-  // after the first Run binds each batch size, Run must not touch the tensor
-  // allocator again.
+  // after the first Run binds each batch size, Run must touch neither the
+  // tensor allocator nor the scratch arena's heap again. The batch-4 runs
+  // fold the 4x4 and 2x2 convs into one GEMM over the batch, whose column
+  // and result matrices come from the scratch arena.
   AbsGraph g = ParseModelSpecs({MakeVgg11(opts), MakeVgg13(opts)});
   MultiTaskModel model(g, rng);
   FusedEngine fused(&model);
@@ -284,11 +298,145 @@ TEST(EnginePlanTest, SteadyStateRunAllocatesNoTensorStorage) {
   EXPECT_GT(Tensor::TotalAllocatedBytes(), unbound);
 
   const int64_t bound = Tensor::TotalAllocatedBytes();
+  const int64_t scratch_bytes = ScratchArena::TotalHeapBytes();
   for (int i = 0; i < 3; ++i) {
     fused.Run(x1);
     fused.Run(x4);
   }
   EXPECT_EQ(Tensor::TotalAllocatedBytes(), bound);
+  EXPECT_EQ(ScratchArena::TotalHeapBytes(), scratch_bytes);
+}
+
+// Installs an empty global tuning DB for the test's lifetime, so every
+// registry resolution counts as a miss, and restores the untuned state.
+class EmptyTuneDbScope {
+ public:
+  EmptyTuneDbScope() { kernels::SetGlobalTuneDb(std::make_shared<kernels::TuneDb>()); }
+  ~EmptyTuneDbScope() { kernels::SetGlobalTuneDb(nullptr); }
+};
+
+TEST(EnginePlanTest, SteadyStateRunResolvesNoSolvers) {
+  ASSERT_EQ(kernels::GlobalTuneDb(), nullptr);  // the state the scope restores
+  const EmptyTuneDbScope db_scope;
+  const obs::Counter& hits = obs::GetCounter("kernels.resolve_db_hits");
+  const obs::Counter& misses = obs::GetCounter("kernels.resolve_heuristic");
+  const auto resolutions = [&] { return hits.Value() + misses.Value(); };
+
+  VisionModelOptions opts;
+  opts.base_width = 4;
+  const std::vector<std::vector<ModelSpec>> bundles = {
+      {MakeVgg11(opts), MakeResNet18(opts)}, TransformerBundles()[0]};
+  for (const std::vector<ModelSpec>& specs : bundles) {
+    Rng rng(21);
+    AbsGraph g = ParseModelSpecs(specs);
+    MultiTaskModel model(g, rng);
+    FusedEngine fused(&model);
+    const Tensor x1 = InputFor(specs[0], /*batch=*/1, rng);
+    const Tensor x8 = InputFor(specs[0], /*batch=*/8, rng);
+    // f32, then the same plan after int8 quantization: binding a batch size
+    // pins every conv, linear and pool solver, so later runs at either size
+    // never consult the registry.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) {
+        ASSERT_GT(fused.Quantize(fused.Calibrate({x8})), 0) << specs[0].name;
+      }
+      fused.Run(x1);
+      fused.Run(x8);
+      const int64_t bound = resolutions();
+      for (int i = 0; i < 2; ++i) {
+        fused.Run(x1);
+        fused.Run(x8);
+      }
+      EXPECT_EQ(resolutions(), bound) << specs[0].name << " pass " << pass;
+    }
+  }
+
+  // KernelProblems reports what a binding pins: at batch 8, each conv too
+  // narrow for the wide GEMM tile (OH*OW < kWideMinN) is listed as one GEMM
+  // over the batch, n = 8*OH*OW, and no longer per sample.
+  Rng rng(22);
+  AbsGraph g = ParseModelSpecs({MakeVgg11(opts)});
+  MultiTaskModel model(g, rng);
+  const FusedEngine fused(&model);
+  const std::vector<kernels::ProblemDesc> b1 = fused.KernelProblems(1);
+  const std::vector<kernels::ProblemDesc> b8 = fused.KernelProblems(8);
+  const auto lists = [](const std::vector<kernels::ProblemDesc>& descs, int64_t m, int64_t k,
+                        int64_t n) {
+    return std::any_of(descs.begin(), descs.end(), [&](const kernels::ProblemDesc& d) {
+      return d.op == kernels::OpFamily::kGemmNN && d.dtype == kernels::DType::kF32 &&
+             d.m == m && d.k == k && d.n == n;
+    });
+  };
+  int narrow_convs = 0;
+  for (const kernels::ProblemDesc& d : b1) {
+    // Conv GEMMs have m = output channels > 1; a batch-1 linear has m = 1.
+    if (d.op != kernels::OpFamily::kGemmNN || d.m == 1 || d.n >= kernels::kWideMinN) {
+      continue;
+    }
+    ++narrow_convs;
+    EXPECT_TRUE(lists(b8, d.m, d.k, 8 * d.n)) << kernels::ProblemKey(d);
+    EXPECT_FALSE(lists(b8, d.m, d.k, d.n)) << kernels::ProblemKey(d);
+  }
+  EXPECT_GE(narrow_convs, 2);  // VGG-11 at 32x32 runs convs at 4x4 and 2x2
+}
+
+// Every row of a batch-8 Run() against a batch-1 Run() of that row. Batch 8
+// folds narrow convs into one GEMM over the batch (and batches the linears),
+// which may change the summation order but nothing else.
+TEST(EnginePlanTest, BatchedRowsMatchSingleSampleRuns) {
+  std::vector<std::pair<std::string, AbsGraph>> graphs;
+  for (const ZooCase& c : ZooCases()) {
+    if (c.name != "vit" && c.name != "bert") {  // the five CNNs
+      graphs.emplace_back(c.name, ParseModelSpecs({c.spec}));
+    }
+  }
+  {
+    BenchmarkScale scale;
+    scale.train_size = 8;
+    scale.test_size = 8;
+    const BenchmarkDef b1 = MakeBenchmark(1, scale, 23);
+    std::vector<ModelSpec> specs;
+    for (const BenchmarkTask& task : b1.tasks) {
+      specs.push_back(task.model);
+    }
+    Rng structure(1);
+    std::optional<AbsGraph> fused_b1 =
+        SampleMutatePass(ParseModelSpecs(specs), 4, ShapeSimilarity::kSimilar, structure);
+    ASSERT_TRUE(fused_b1.has_value());
+    graphs.emplace_back("b1-fusion", std::move(*fused_b1));
+  }
+  for (const std::vector<ModelSpec>& specs : TransformerBundles()) {
+    graphs.emplace_back(specs[0].name, ParseModelSpecs(specs));
+  }
+
+  for (const auto& [name, g] : graphs) {
+    Rng rng(24);
+    MultiTaskModel model(g, rng);
+    FusedEngine fused(&model);
+    const Tensor x8 = InputFor(g.node(g.root()).output_shape, /*batch=*/8, rng);
+    std::vector<Tensor> batched;
+    for (const Tensor& y : fused.Run(x8)) {
+      batched.push_back(y.Clone());  // outputs alias engine buffers
+    }
+    const int64_t row_elems = x8.size() / 8;
+    for (int64_t r = 0; r < 8; ++r) {
+      Tensor row(x8.shape().WithoutBatch().WithBatch(1));
+      std::memcpy(row.data(), x8.data() + r * row_elems,
+                  static_cast<size_t>(row_elems) * sizeof(float));
+      const std::vector<Tensor> single = fused.Run(row);
+      ASSERT_EQ(single.size(), batched.size());
+      for (size_t t = 0; t < single.size(); ++t) {
+        const int64_t n = single[t].size();
+        float max_abs = 0.0f;
+        float max_diff = 0.0f;
+        for (int64_t j = 0; j < n; ++j) {
+          max_abs = std::max(max_abs, std::fabs(single[t].at(j)));
+          max_diff = std::max(max_diff, std::fabs(batched[t].at(r * n + j) - single[t].at(j)));
+        }
+        EXPECT_LE(max_diff, 1e-5f * (1.0f + max_abs)) << name << " row " << r << " task " << t;
+      }
+    }
+  }
 }
 
 TEST(EnginePlanTest, PlanReusesBuffersAndProfiles) {

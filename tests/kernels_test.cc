@@ -137,6 +137,38 @@ TEST(GemmSolverPropertyTest, HeuristicAndResolveAlwaysApplicable) {
   }
 }
 
+// With k within one packing block (KC = 256), gemm.packed sums each output
+// over k in the same order as gemm.direct, from zero, then stores or adds it
+// to C — so the wide-N heuristic may move NN problems between the two without
+// changing a bit. Random shapes straddle the 32-column strips, the 6- and
+// 8-row tiles, and the 96-row and 1024-column packing blocks.
+TEST(GemmSolverPropertyTest, DirectAndPackedBitwiseEqualForKWithinOneBlock) {
+  Rng rng(2024);
+  const GemmSolver* direct = SolverRegistry::Global().FindGemm("gemm.direct");
+  const GemmSolver* packed = SolverRegistry::Global().FindGemm("gemm.packed");
+  ASSERT_NE(direct, nullptr);
+  ASSERT_NE(packed, nullptr);
+  for (int i = 0; i < 24; ++i) {
+    const int64_t m = 1 + static_cast<int64_t>(rng.NextU64() % 200);
+    const int64_t k = 1 + static_cast<int64_t>(rng.NextU64() % 256);
+    const int64_t n = 1 + static_cast<int64_t>(rng.NextU64() % (i < 4 ? 1100 : 300));
+    const ProblemDesc desc = kernels::GemmProblem(OpFamily::kGemmNN, m, k, n);
+    std::vector<float> a(static_cast<size_t>(m * k));
+    std::vector<float> b(static_cast<size_t>(k * n));
+    std::vector<float> c_init(static_cast<size_t>(m * n));
+    FillRandom(a, rng);
+    FillRandom(b, rng);
+    FillRandom(c_init, rng);
+    for (bool accumulate : {false, true}) {
+      std::vector<float> got_direct = c_init;
+      std::vector<float> got_packed = c_init;
+      direct->Run(desc, MakeGemmCall(desc, a.data(), b.data(), got_direct.data(), accumulate));
+      packed->Run(desc, MakeGemmCall(desc, a.data(), b.data(), got_packed.data(), accumulate));
+      EXPECT_EQ(got_direct, got_packed) << ProblemKey(desc) << " accumulate=" << accumulate;
+    }
+  }
+}
+
 TEST(PoolSolverTest, AllSolversBitwiseMatchGeneric) {
   Rng rng(555);
   const SolverRegistry& registry = SolverRegistry::Global();
@@ -168,6 +200,23 @@ TEST(PoolSolverTest, AllSolversBitwiseMatchGeneric) {
       EXPECT_EQ(got, want) << solver->name() << " " << ProblemKey(desc);
     }
   }
+}
+
+// The untuned pool pick: the unrolled 2x2/stride-2 solver wherever it
+// applies (bitwise equal to the generic loop, per the test above), the
+// generic loop for every other window.
+TEST(PoolSolverTest, HeuristicPicksTwoByTwoForK2S2Only) {
+  const SolverRegistry& registry = SolverRegistry::Global();
+  const PoolSolver* two_by_two = registry.FindPool("pool.2x2s2");
+  const PoolSolver* generic = registry.FindPool("pool.generic");
+  ASSERT_NE(two_by_two, nullptr);
+  ASSERT_NE(generic, nullptr);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(24, 32, 32, 2, 2)), two_by_two);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(1, 2, 2, 2, 2)), two_by_two);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(3, 7, 9, 2, 2)), two_by_two);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(8, 5, 5, 2, 1)), generic);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(2, 6, 6, 3, 3)), generic);
+  EXPECT_EQ(registry.HeuristicPool(kernels::PoolProblem(5, 16, 16, 3, 2)), generic);
 }
 
 TEST(SolverRegistryTest, NamesResolveAndUnknownsDoNot) {
