@@ -17,7 +17,10 @@
 // (qgemm_nn_*) benchmark the registry-resolved u8·s8 solver against the f32
 // packed path at the same shape and report the effective memory traffic of
 // both (`traffic_bytes` / `f32_traffic_bytes` / `traffic_ratio`), so the JSON
-// shows the bandwidth win as well as GFLOP/s.
+// shows the bandwidth win as well as GFLOP/s. The qconv_* lines time a whole
+// batch-1 int8 conv (quantize, tap-word im2col, the resolved conv solver,
+// dequant epilogue) against the f32 conv at the same B1 shape, naming the
+// solver that ran.
 //
 // --sweep-solvers switches to the solver-registry sweep: every registered
 // GEMM solver is benchmarked (autotuner timing path) on each model shape for
@@ -39,6 +42,7 @@
 #include "src/kernels/scratch.h"
 #include "src/kernels/tune_db.h"
 #include "src/nn/attention.h"
+#include "src/quant/quant_ops.h"
 #include "src/tensor/conv_ops.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
@@ -218,6 +222,40 @@ void BenchQGemm(Rng& rng, const char* name, int64_t m, int64_t k, int64_t n) {
                           .Set("bytes_per_op", q.bytes_per_iter));
 }
 
+// One batch-1 3x3/stride-1/pad-1 conv of B1, int8 against f32.
+void BenchQConv(Rng& rng, const char* name, int64_t c, int64_t hw, int64_t o) {
+  Conv2dArgs args;
+  args.padding = 1;
+  Tensor x = Tensor::RandomGaussian(Shape{1, c, hw, hw}, rng);
+  Tensor w = Tensor::RandomGaussian(Shape{o, c, 3, 3}, rng, 0.1f);
+  Tensor b = Tensor::Zeros(Shape{o});
+  Tensor out(Shape{1, o, hw, hw});
+  quant::TensorRange range;
+  range.Observe(x.data(), x.size());
+  const quant::QConvWeights qw =
+      quant::PackConvWeights(w, b, quant::ActQuantFromRange(range),
+                             quant::RowAbsMaxScales(w.data(), o, c * 9), hw, hw);
+  const kernels::QGemmSolver* solver = kernels::SolverRegistry::Global().ResolveQGemm(qw.gemm);
+  BenchResult q = Run([&] { quant::QConv2dForwardInto(x, qw, args, out, nullptr, true, solver); });
+  BenchResult f32 = Run([&] { Conv2dForwardInto(x, w, b, args, out, nullptr, true); });
+  const double flops = 2.0 * o * c * 9 * hw * hw;
+  const double gf = flops / q.seconds_per_iter / 1e9;
+  const double f32_gf = flops / f32.seconds_per_iter / 1e9;
+  char shape[96];
+  std::snprintf(shape, sizeof(shape), "c%lld %lldx%lld o%lld", static_cast<long long>(c),
+                static_cast<long long>(hw), static_cast<long long>(hw),
+                static_cast<long long>(o));
+  bench::EmitJsonLine(bench::Json()
+                          .Set("op", std::string("qconv_") + name)
+                          .Set("shape", shape)
+                          .Set("dtype", "int8")
+                          .Set("solver", solver->name())
+                          .Set("gflops", gf, 2)
+                          .Set("f32_gflops", f32_gf, 2)
+                          .Set("speedup", f32_gf > 0.0 ? gf / f32_gf : 0.0, 2)
+                          .Set("bytes_per_op", q.bytes_per_iter));
+}
+
 // Benchmarks every applicable solver per (shape, GEMM variant) through the
 // autotuner's timing path and reports each candidate plus the selection.
 void SweepSolvers() {
@@ -286,6 +324,11 @@ void Main(const std::string& dtype_filter) {
     for (const GemmShape& shape : kGemmShapes) {
       BenchQGemm(rng, shape.name, shape.m, shape.k, shape.n);
     }
+    BenchQConv(rng, "vgg_first", 3, 32, 8);
+    BenchQConv(rng, "vgg_c2", 8, 32, 8);
+    BenchQConv(rng, "vgg_c6", 32, 8, 32);
+    BenchQConv(rng, "vgg_c8", 64, 4, 64);
+    BenchQConv(rng, "vgg_c10", 64, 2, 64);
   }
 }
 

@@ -536,17 +536,7 @@ class PlanChecker {
           if (w.Rank() != 4 || out.Rank() != 3) {
             continue;  // malformed signature already reported by plan.shape.*
           }
-          desc.op = kernels::OpFamily::kGemmNN;
-          if (step.dtype == kernels::DType::kInt8) {
-            // Quantized convs run transposed: col_u8[S, CKK] · Wt_s8[CKK, O].
-            desc.m = out[1] * out[2];
-            desc.k = w[1] * w[2] * w[3];
-            desc.n = w[0];
-          } else {
-            desc.m = w[0];
-            desc.k = w[1] * w[2] * w[3];
-            desc.n = out[1] * out[2];
-          }
+          desc = kernels::ConvProblem(step.dtype, w[0], w[1] * w[2] * w[3], out[1], out[2]);
           break;
         }
         case PlanOp::kLinear: {
@@ -578,7 +568,7 @@ class PlanChecker {
               << "solver '" << step.solver << "'";
           continue;
       }
-      if (desc.dtype == kernels::DType::kInt8 && desc.op != kernels::OpFamily::kGemmNN) {
+      if (desc.dtype == kernels::DType::kInt8 && desc.op == kernels::OpFamily::kMaxPool) {
         diags_.Error("plan.solver.dtype", path)
             << "dtype int8 is only defined for conv/linear GEMM steps, not "
             << PlanOpName(step.kind);

@@ -103,18 +103,19 @@ TuneResult TuneProblem(const ProblemDesc& desc, TuneDb& db, const AutotuneOption
 
   // Synthetic operands sized for the descriptor, in the descriptor's dtype.
   // For pools, `a` is the input planes and `c` the pooled output; `b` is
-  // unused. Int8 descs benchmark on u8 activations and s8 weights.
+  // unused. Int8 descs benchmark on u8 activations and s8 weights, sized for
+  // the family's operand layouts (QGemmCall).
   std::unique_ptr<float[]> a, b, c;
   std::unique_ptr<uint8_t[]> qa;
   std::unique_ptr<int8_t[]> qb;
   std::unique_ptr<int32_t[]> qc;
   const uint64_t seed = DescSeed(desc);
   if (desc.dtype == DType::kInt8) {
-    qa.reset(new uint8_t[static_cast<size_t>(desc.m * desc.k)]);
-    qb.reset(new int8_t[static_cast<size_t>(desc.k * desc.n)]);
+    qa.reset(new uint8_t[static_cast<size_t>(QActBytes(desc))]);
+    qb.reset(new int8_t[static_cast<size_t>(QWeightBytes(desc))]);
     qc.reset(new int32_t[static_cast<size_t>(desc.m * desc.n)]);
-    FillUniformU8(qa.get(), desc.m * desc.k, seed);
-    FillUniformS8(qb.get(), desc.k * desc.n, seed + 1);
+    FillUniformU8(qa.get(), QActBytes(desc), seed);
+    FillUniformS8(qb.get(), QWeightBytes(desc), seed + 1);
   } else {
     int64_t a_floats = 0, b_floats = 0, c_floats = 0;
     if (desc.op == OpFamily::kMaxPool) {

@@ -18,6 +18,10 @@ const PoolSolver* Pool2x2Solver();      // "pool.2x2s2"
 const QGemmSolver* QGemmRefSolver();     // "qgemm.ref"
 const QGemmSolver* QGemmPackedSolver();  // "qgemm.packed"
 const QGemmSolver* QGemmVnniSolver();    // "qgemm.vnni" (AVX512-VNNI builds)
+// "qconv.pixels" / "qconv.pixels_vnni" and "qconv.channels" /
+// "qconv.channels_vnni": the portable and the AVX512-VNNI conv kernels.
+const QGemmSolver* QConvPixelsSolver(bool vnni);
+const QGemmSolver* QConvChannelsSolver(bool vnni);
 
 }  // namespace gmorph::kernels
 

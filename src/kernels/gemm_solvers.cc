@@ -366,7 +366,7 @@ class GemmRef final : public GemmSolver {
       case OpFamily::kGemmTN:
         RefMatmulTN(call.a.data, call.b.data, call.c, desc.k, desc.m, desc.n, call.accumulate);
         break;
-      case OpFamily::kMaxPool:
+      default:
         break;
     }
   }

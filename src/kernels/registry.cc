@@ -23,7 +23,9 @@ constexpr int64_t kDirectMaxFloats = 48 * 1024;
 SolverRegistry::SolverRegistry() {
   gemm_ = {GemmRefSolver(), GemmDirectSolver(), GemmPackedSolver(), GemmDotSolver()};
   pool_ = {PoolGenericSolver(), Pool2x2Solver()};
-  qgemm_ = {QGemmRefSolver(), QGemmPackedSolver(), QGemmVnniSolver()};
+  qgemm_ = {QGemmRefSolver(),           QGemmPackedSolver(),          QGemmVnniSolver(),
+            QConvPixelsSolver(false),   QConvPixelsSolver(true),      QConvChannelsSolver(false),
+            QConvChannelsSolver(true)};
 }
 
 const SolverRegistry& SolverRegistry::Global() {
@@ -114,8 +116,18 @@ const PoolSolver* SolverRegistry::HeuristicPool(const ProblemDesc& desc) const {
 }
 
 const QGemmSolver* SolverRegistry::HeuristicQGemm(const ProblemDesc& desc) const {
+  // A conv runs its family's VNNI kernel when the build has one, else the
+  // portable emulation of the same tiles.
+  if (desc.op == OpFamily::kQConvPixels || desc.op == OpFamily::kQConvChannels) {
+    const bool pixels = desc.op == OpFamily::kQConvPixels;
+    const QGemmSolver* vnni = pixels ? QConvPixelsSolver(true) : QConvChannelsSolver(true);
+    if (vnni->IsApplicable(desc)) {
+      return vnni;
+    }
+    return pixels ? QConvPixelsSolver(false) : QConvChannelsSolver(false);
+  }
   // The packed paths' panel setup only loses on problems too small to matter;
-  // mirror the f32 tiny-problem cutoff. VNNI beats the portable s16 path
+  // mirror the f32 tiny-problem cutoff. VNNI beats the portable emulation
   // whenever the build carries it.
   if (2 * desc.m * desc.k * desc.n <= kTinyFlops) {
     return QGemmRefSolver();

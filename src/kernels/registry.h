@@ -53,7 +53,9 @@ class SolverRegistry {
   // The untuned default: tiny/narrow -> reference, narrow-N -> dot, wide ->
   // direct while its operands stay cache-resident (NN: k·n <= 128K floats;
   // NT/TN: whole footprint <= 48K floats), else packed; 2x2/stride-2
-  // max-pool -> pool.2x2s2, any other window -> pool.generic.
+  // max-pool -> pool.2x2s2, any other window -> pool.generic; int8 convs ->
+  // their family's VNNI kernel when the build has it, else its portable one;
+  // int8 GEMMs -> qgemm.ref when tiny, else qgemm.vnni, else qgemm.packed.
   const GemmSolver* HeuristicGemm(const ProblemDesc& desc) const;
   const PoolSolver* HeuristicPool(const ProblemDesc& desc) const;
   const QGemmSolver* HeuristicQGemm(const ProblemDesc& desc) const;

@@ -75,7 +75,7 @@ class ScratchScope {
   // Contents are uninitialized (reused allocations carry stale data).
   float* AllocFloats(size_t n) { return arena_.AllocFloats(n); }
 
-  // Typed scratch for the non-f32 kernels (u8/s8 operands, s16 packing
+  // Typed scratch for the non-f32 kernels (u8/s8 operands and weight
   // panels, s32 accumulators): n elements of T carved from the float arena,
   // rounded up to whole float slots. Same lifetime rules as AllocFloats.
   template <typename T>

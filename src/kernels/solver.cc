@@ -17,6 +17,10 @@ const char* OpFamilyName(OpFamily op) {
       return "gemm_tn";
     case OpFamily::kMaxPool:
       return "maxpool";
+    case OpFamily::kQConvPixels:
+      return "qconv_pixels";
+    case OpFamily::kQConvChannels:
+      return "qconv_channels";
   }
   return "unknown";
 }
@@ -30,6 +34,10 @@ bool OpFamilyFromName(std::string_view name, OpFamily* out) {
     *out = OpFamily::kGemmTN;
   } else if (name == "maxpool") {
     *out = OpFamily::kMaxPool;
+  } else if (name == "qconv_pixels") {
+    *out = OpFamily::kQConvPixels;
+  } else if (name == "qconv_channels") {
+    *out = OpFamily::kQConvChannels;
   } else {
     return false;
   }
@@ -100,6 +108,24 @@ ProblemDesc QGemmProblem(int64_t m, int64_t k, int64_t n) {
   return desc;
 }
 
+ProblemDesc ConvProblem(DType dtype, int64_t out_channels, int64_t ckk, int64_t oh, int64_t ow) {
+  ProblemDesc desc;
+  desc.dtype = dtype;
+  desc.k = ckk;
+  desc.threads = 1;
+  const int64_t spatial = oh * ow;
+  if (dtype == DType::kInt8 && spatial < kQConvPixelsMinSpatial) {
+    desc.op = OpFamily::kQConvChannels;
+    desc.m = spatial;
+    desc.n = out_channels;
+  } else {
+    desc.op = dtype == DType::kInt8 ? OpFamily::kQConvPixels : OpFamily::kGemmNN;
+    desc.m = out_channels;
+    desc.n = spatial;
+  }
+  return desc;
+}
+
 ProblemDesc PoolProblem(int64_t planes, int64_t h, int64_t w, int64_t kernel, int64_t stride) {
   ProblemDesc desc;
   desc.op = OpFamily::kMaxPool;
@@ -144,7 +170,9 @@ GemmCall MakeGemmCall(const ProblemDesc& desc, const float* a, const float* b, f
       call.b = MatView{b, desc.n, 1};
       break;
     case OpFamily::kMaxPool:
-      GMORPH_CHECK(false, "MakeGemmCall on a pool descriptor");
+    case OpFamily::kQConvPixels:
+    case OpFamily::kQConvChannels:
+      GMORPH_CHECK(false, "MakeGemmCall on a non-f32-GEMM descriptor");
   }
   return call;
 }

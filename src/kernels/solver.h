@@ -23,17 +23,27 @@
 namespace gmorph::kernels {
 
 // The kernel families the registry distinguishes. The GEMM families are named
-// after the caller-facing operand layouts; internally every variant is the
-// same logical product C[M,N] (+)= A·B over strided views (see MatView).
+// after the caller-facing operand layouts; internally every f32 variant is the
+// same logical product C[M,N] (+)= A·B over strided views (see MatView). The
+// two int8 conv families name the packed operand layouts of a quantized
+// conv's per-sample GEMM (QGemmCall lists them); both read the u8 "tap word"
+// im2col, in which one 32-bit word holds four consecutive taps of one output
+// pixel — the operand vpdpbusd multiplies.
 enum class OpFamily : uint8_t {
   kGemmNN,
   kGemmNT,
   kGemmTN,
   kMaxPool,
+  // Output pixels on the lanes: C_s32[O, S] = W_s8[O, K] · X_u8[K, S], i.e.
+  // m = output channels, n = output pixels; C is the NCHW plane.
+  kQConvPixels,
+  // Output channels on the lanes: C_s32[S, O] = X_u8[S, K] · W_s8[K, O], i.e.
+  // m = output pixels, n = output channels.
+  kQConvChannels,
 };
 
-// Stable text names ("gemm_nn", ..., "maxpool") used by the tuning DB and the
-// plan annotations.
+// Stable text names ("gemm_nn", ..., "maxpool", "qconv_pixels",
+// "qconv_channels") used by the tuning DB and the plan annotations.
 const char* OpFamilyName(OpFamily op);
 bool OpFamilyFromName(std::string_view name, OpFamily* out);
 
@@ -98,6 +108,25 @@ ProblemDesc GemmProblem(OpFamily op, int64_t m, int64_t k, int64_t n);
 // Quantized GEMM descriptor: always the NN layout (row-major u8 A, row-major
 // s8 B), dtype = kInt8.
 ProblemDesc QGemmProblem(int64_t m, int64_t k, int64_t n);
+// Fewest output pixels (OH*OW) for which an int8 conv puts pixels on the
+// lanes: one full 4 x 16-pixel register tile. Narrower outputs (the 4x4 and
+// 2x2 convs, stride-8 patch convs) keep output channels on the lanes, where
+// O = 64 fills every lane. Measured on one AVX-512 VNNI core, 64->64 GEMMs
+// with K = 576: at 2x2 pixel lanes fill 4 of 16 lanes and take 2.4 us
+// against 0.6 us; at 4x4 the whole conv steps are within 10% either way;
+// from 8x8 up pixel lanes win (7.0 against 9.5 us).
+inline constexpr int64_t kQConvPixelsMinSpatial = 64;
+// The per-sample GEMM of a conv with `out_channels` filters over `ckk` =
+// C*KH*KW taps and an oh x ow output, at threads = 1 (it runs inside the
+// loop over the batch). The one place that maps a conv to a descriptor:
+// f32 runs W[O, ckk] · col[ckk, OH*OW] (kGemmNN, m = O, n = OH*OW); int8
+// runs kQConvPixels when OH*OW >= kQConvPixelsMinSpatial, else
+// kQConvChannels. The fused engine's batch folding widens an f32 n on top.
+ProblemDesc ConvProblem(DType dtype, int64_t out_channels, int64_t ckk, int64_t oh, int64_t ow);
+// Byte sizes of an int8 problem's operands in its family's layout: the u8
+// activation operand and the s8 weight operand, padded as QGemmCall says.
+int64_t QActBytes(const ProblemDesc& desc);
+int64_t QWeightBytes(const ProblemDesc& desc);
 // Max-pool descriptor; planes = batch * channels.
 ProblemDesc PoolProblem(int64_t planes, int64_t h, int64_t w, int64_t kernel, int64_t stride);
 // Arithmetic work for throughput reporting: 2*m*k*n for GEMMs, one op per
@@ -136,14 +165,25 @@ struct PoolCall {
   float* out;
 };
 
-// A bound quantized GEMM: C_s32[M,N] = A_u8[M,K] · B_s8[K,N], all row-major
-// and contiguous. Integer accumulation is exact, so results are bitwise
-// independent of the thread count and the solver choice by construction —
-// every int8 solver must produce identical bits. Dequantization is the
-// caller's epilogue, not the solver's job.
+// A bound quantized GEMM: C_s32[M,N], row-major and contiguous, from a u8
+// activation operand `act` and an s8 weight operand `weight` whose layouts
+// the descriptor's family fixes. With G = ceil(K/4) tap groups:
+//   kGemmNN:        act    = A[M, K] row-major;
+//                   weight = B[K, N] row-major.
+//   kQConvPixels:   act    = tap words [G][N][4]: byte (g, s, j) is tap 4g+j
+//                            of pixel s (0 past K);
+//                   weight = W[M, 4G] row-major, zero past K.
+//   kQConvChannels: act    = tap words [G][M][4], pixels being the rows;
+//                   weight = 64-column panels [ceil(N/64)][G][64][4]: byte
+//                            (p, g, c, j) is W[channel 64p+c, tap 4g+j], zero
+//                            past K and past N.
+// Integer accumulation is exact, so results are bitwise independent of the
+// thread count and the solver choice by construction — every int8 solver
+// must produce identical bits. Dequantization is the caller's epilogue, not
+// the solver's job.
 struct QGemmCall {
-  const uint8_t* a;
-  const int8_t* b;
+  const uint8_t* act;
+  const int8_t* weight;
   int32_t* c;
 };
 
@@ -204,6 +244,21 @@ void RefMatmulTN(const float* a, const float* b, float* c, int64_t m, int64_t k,
 // Reference u8·s8 -> s32 loop, the oracle for the int8 solver cross-checks.
 void RefQMatmulNN(const uint8_t* a, const int8_t* b, int32_t* c, int64_t m, int64_t k,
                   int64_t n);
+
+// The u8 im2col of an int8 conv: gathers one quantized sample `image`
+// (C, hp, wp), already padded — its border holds the zero point — into the
+// tap words [ceil(K/4)][OH*OW][4] both conv families read (QGemmCall), K =
+// C*kernel*kernel taps in (C, KH, KW) order, taps past K zero. At stride 1 a
+// group's four taps interleave four contiguous row spans; other strides
+// gather per pixel. Reads up to kTapWordsSlack bytes past the image.
+inline constexpr int64_t kTapWordsSlack = 3;
+void BuildTapWords(const uint8_t* image, int64_t c, int64_t hp, int64_t wp, int64_t kernel,
+                   int64_t stride, int64_t oh, int64_t ow, uint8_t* words);
+
+// Packs a conv's row-major s8 weights W[O, K] (O, K from the kQConvPixels or
+// kQConvChannels desc) into that family's weight operand, QWeightBytes(desc)
+// bytes at dst.
+void PackQConvWeights(const ProblemDesc& desc, const int8_t* w, int8_t* dst);
 
 }  // namespace gmorph::kernels
 

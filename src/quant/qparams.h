@@ -46,7 +46,12 @@ struct TensorRange {
 // (constant tensors, never-observed steps) fall back to scale=1, zp=0.
 ActQuant ActQuantFromRange(const TensorRange& range);
 
-// clamp(round(x / scale) + zero_point, 0, 255)
+// clamp(round(x / scale) + zero_point, 0, 255), rounding half away from zero
+// like lround. Saturation rule: the scaled value is clamped in float before
+// it becomes an integer, so anything past the u8 range (however far, even
+// ±inf) lands on code 0 or 255, and NaN maps to the zero point. In-range
+// codes equal lround's exactly. QuantizeActivations is the vectorized bulk
+// form (it multiplies by 1/scale instead of dividing, as it always has).
 uint8_t QuantizeValue(float x, const ActQuant& q);
 void QuantizeActivations(const float* x, int64_t n, const ActQuant& q, uint8_t* out);
 
@@ -54,7 +59,8 @@ void QuantizeActivations(const float* x, int64_t n, const ActQuant& q, uint8_t* 
 // floor so all-zero channels stay representable).
 float SymmetricScale(float abs_max);
 // clamp(round(w / scale), -127, 127) — note ±127, not -128, keeping the
-// product magnitude bounded for the 4-way u8·s8 dot accumulation.
+// product magnitude bounded for the 4-way u8·s8 dot accumulation. Same
+// rounding and saturation rule as QuantizeValue.
 int8_t QuantizeWeight(float w, float scale);
 
 // Per-row / per-column symmetric scales of a row-major (rows, cols) matrix.

@@ -1,6 +1,7 @@
 #include "src/quant/quant_ops.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
@@ -15,38 +16,49 @@ int64_t ItemGrain(int64_t per_item) {
   return std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, per_item));
 }
 
-// Gathers the quantized image into the transposed column matrix: one row per
-// output pixel, ckk bytes per row. Out-of-image taps get `pad_byte` — the
-// u8 code of real 0.0, so padding dequantizes exactly to zero.
-void QIm2ColRows(const uint8_t* qx, int64_t c, int64_t h, int64_t w, int64_t kernel,
-                 int64_t stride, int64_t padding, int64_t oh, int64_t ow, uint8_t pad_byte,
-                 uint8_t* col) {
-  const int64_t ckk = c * kernel * kernel;
-  for (int64_t oy = 0; oy < oh; ++oy) {
-    for (int64_t ox = 0; ox < ow; ++ox) {
-      uint8_t* row = col + (oy * ow + ox) * ckk;
-      int64_t idx = 0;
-      for (int64_t ch = 0; ch < c; ++ch) {
-        for (int64_t kh = 0; kh < kernel; ++kh) {
-          const int64_t iy = oy * stride + kh - padding;
-          if (iy < 0 || iy >= h) {
-            std::fill(row + idx, row + idx + kernel, pad_byte);
-            idx += kernel;
-            continue;
-          }
-          const uint8_t* src_row = qx + (ch * h + iy) * w;
-          const int64_t base = ox * stride - padding;
-          if (base >= 0 && base + kernel <= w) {
-            std::copy(src_row + base, src_row + base + kernel, row + idx);
-            idx += kernel;
-            continue;
-          }
-          for (int64_t kw = 0; kw < kernel; ++kw, ++idx) {
-            const int64_t ix = base + kw;
-            row[idx] = (ix >= 0 && ix < w) ? src_row[ix] : pad_byte;
-          }
-        }
+// Quantizes one sample (C,H,W) into (C, H+2p, W+2p) with `pad_byte` — the
+// zero point — in the p-wide border, so the tap gather reads padding like
+// any other pixel. The sample quantizes in one vectorized pass into `flat`
+// (C*H*W bytes); rows then move into place.
+void QuantizePadded(const float* x, int64_t c, int64_t h, int64_t w, int64_t pad,
+                    const ActQuant& q, uint8_t pad_byte, uint8_t* flat, uint8_t* dst) {
+  if (pad == 0) {
+    QuantizeActivations(x, c * h * w, q, dst);
+    return;
+  }
+  QuantizeActivations(x, c * h * w, q, flat);
+  const int64_t wp = w + 2 * pad;
+  const int64_t hp = h + 2 * pad;
+  std::fill(dst, dst + c * hp * wp, pad_byte);
+  for (int64_t r = 0; r < c * h; ++r) {
+    const int64_t ch = r / h;
+    const int64_t y = r % h;
+    std::memcpy(dst + (ch * hp + y + pad) * wp + pad, flat + r * w, static_cast<size_t>(w));
+  }
+}
+
+// The conv epilogue for one sample: out[oc, s] = relu(Dequant(acc) + bias +
+// skip), each term only when present, in that order. acc(oc, s) sits at
+// acc[oc * S + s] with pixels on the lanes, at acc[s * O + oc] with channels
+// on the lanes.
+template <bool kChannelLanes>
+void DequantSample(const int32_t* acc, const QConvWeights& qw, int64_t spatial,
+                   const float* skip, bool relu, float* out) {
+  const int64_t o = qw.out_channels;
+  const int32_t zp = qw.in_q.zero_point;
+  for (int64_t oc = 0; oc < o; ++oc) {
+    const float scale = qw.deq_scale[static_cast<size_t>(oc)];
+    const int32_t corr = zp * qw.colsum[static_cast<size_t>(oc)];
+    const float bias = qw.bias.empty() ? 0.0f : qw.bias[static_cast<size_t>(oc)];
+    const int32_t* ao = kChannelLanes ? acc + oc : acc + oc * spatial;
+    float* yo = out + oc * spatial;
+    const float* so = skip == nullptr ? nullptr : skip + oc * spatial;
+    for (int64_t s = 0; s < spatial; ++s) {
+      float v = Dequant(ao[kChannelLanes ? s * o : s], corr, scale) + bias;
+      if (so != nullptr) {
+        v += so[s];
       }
+      yo[s] = relu && v < 0.0f ? 0.0f : v;
     }
   }
 }
@@ -85,7 +97,7 @@ QLinearWeights PackLinearWeights(const Tensor& w, const Tensor& b, const ActQuan
 }
 
 QConvWeights PackConvWeights(const Tensor& w, const Tensor& b, const ActQuant& in_q,
-                             const std::vector<float>& w_scales) {
+                             const std::vector<float>& w_scales, int64_t oh, int64_t ow) {
   GMORPH_CHECK(w.shape().Rank() == 4);
   QConvWeights qw;
   qw.out_channels = w.shape()[0];
@@ -97,7 +109,8 @@ QConvWeights PackConvWeights(const Tensor& w, const Tensor& b, const ActQuant& i
                "conv w_scales size " << w_scales.size() << " want " << qw.out_channels);
   const int64_t o = qw.out_channels;
   const int64_t ckk = qw.ckk();
-  qw.wt.resize(static_cast<size_t>(ckk * o));
+  qw.gemm = kernels::ConvProblem(kernels::DType::kInt8, o, ckk, oh, ow);
+  std::vector<int8_t> rows(static_cast<size_t>(o * ckk));
   qw.colsum.assign(static_cast<size_t>(o), 0);
   qw.deq_scale.resize(static_cast<size_t>(o));
   const float* pw = w.data();
@@ -106,12 +119,14 @@ QConvWeights PackConvWeights(const Tensor& w, const Tensor& b, const ActQuant& i
     int32_t sum = 0;
     for (int64_t k = 0; k < ckk; ++k) {
       const int8_t q = QuantizeWeight(pw[oc * ckk + k], scale);
-      qw.wt[static_cast<size_t>(k * o + oc)] = q;
+      rows[static_cast<size_t>(oc * ckk + k)] = q;
       sum += q;
     }
     qw.colsum[static_cast<size_t>(oc)] = sum;
     qw.deq_scale[static_cast<size_t>(oc)] = in_q.scale * scale;
   }
+  qw.w.resize(static_cast<size_t>(kernels::QWeightBytes(qw.gemm)));
+  kernels::PackQConvWeights(qw.gemm, rows.data(), qw.w.data());
   if (!b.empty()) {
     qw.bias.assign(b.data(), b.data() + b.size());
   }
@@ -153,7 +168,7 @@ void QLinearForwardInto(const Tensor& x, const QLinearWeights& qw, Tensor& out, 
       const int32_t* arow = acc + r * n;
       float* orow = po + r * n;
       for (int64_t j = 0; j < n; ++j) {
-        orow[j] = ds[j] * static_cast<float>(arow[j] - zp * colsum[j]);
+        orow[j] = Dequant(arow[j], zp * colsum[j], ds[j]);
       }
       LinearEpilogueRow(orow, n, pb, /*skip=*/nullptr, act);
     }
@@ -182,44 +197,36 @@ void QConv2dForwardInto(const Tensor& x, const QConvWeights& qw, const Conv2dArg
   const int64_t ckk = qw.ckk();
   const int64_t spatial = oh * ow;
   const int64_t plane = o * spatial;
-  // The per-sample GEMM runs inside the batch loop, so it is keyed serial —
-  // same regime as the f32 conv lowering.
-  kernels::ProblemDesc desc = kernels::QGemmProblem(spatial, ckk, o);
-  desc.threads = 1;
+  const kernels::ProblemDesc desc = kernels::ConvProblem(kernels::DType::kInt8, o, ckk, oh, ow);
+  GMORPH_CHECK(desc == qw.gemm, "qconv weights packed for " << kernels::ProblemKey(qw.gemm)
+                                                            << ", this output runs "
+                                                            << kernels::ProblemKey(desc));
   if (solver == nullptr) {
     solver = kernels::SolverRegistry::Global().ResolveQGemm(desc);
   }
   const uint8_t pad_byte = static_cast<uint8_t>(std::clamp(qw.in_q.zero_point, 0, 255));
-  const ActQuant in_q = qw.in_q;
-  const int32_t zp = in_q.zero_point;
+  const int64_t pad = args.padding;
+  const int64_t hp = h + 2 * pad;
+  const int64_t wp = wd + 2 * pad;
+  const bool channel_lanes = desc.op == kernels::OpFamily::kQConvChannels;
 
   ParallelFor(0, n, ItemGrain(plane), [&](int64_t lo, int64_t hi) {
     ScratchScope scope;
-    uint8_t* qx = scope.Alloc<uint8_t>(static_cast<size_t>(c * h * wd));
-    uint8_t* col = scope.Alloc<uint8_t>(static_cast<size_t>(spatial * ckk));
-    int32_t* acc = scope.Alloc<int32_t>(static_cast<size_t>(spatial * o));
+    uint8_t* flat = pad > 0 ? scope.Alloc<uint8_t>(static_cast<size_t>(c * h * wd)) : nullptr;
+    uint8_t* image =
+        scope.Alloc<uint8_t>(static_cast<size_t>(c * hp * wp + kernels::kTapWordsSlack));
+    uint8_t* words = scope.Alloc<uint8_t>(static_cast<size_t>(kernels::QActBytes(desc)));
+    int32_t* acc = scope.Alloc<int32_t>(static_cast<size_t>(plane));
     for (int64_t i = lo; i < hi; ++i) {
-      QuantizeActivations(x.data() + i * c * h * wd, c * h * wd, in_q, qx);
-      QIm2ColRows(qx, c, h, wd, kernel, args.stride, args.padding, oh, ow, pad_byte, col);
-      solver->Run(desc, kernels::QGemmCall{col, qw.wt.data(), acc});
-      // Dequant + transpose (S,O) -> (O,S), folding zero-point correction,
-      // bias, skip-add and ReLU into the single pass over the output plane.
-      float* y = out.data() + i * plane;
+      QuantizePadded(x.data() + i * c * h * wd, c, h, wd, pad, qw.in_q, pad_byte, flat, image);
+      kernels::BuildTapWords(image, c, hp, wp, kernel, args.stride, oh, ow, words);
+      solver->Run(desc, kernels::QGemmCall{words, qw.w.data(), acc});
       const float* ps = skip == nullptr ? nullptr : skip->data() + i * plane;
-      for (int64_t oc = 0; oc < o; ++oc) {
-        const float scale = qw.deq_scale[static_cast<size_t>(oc)];
-        const int32_t corr = zp * qw.colsum[static_cast<size_t>(oc)];
-        const float bias =
-            qw.bias.empty() ? 0.0f : qw.bias[static_cast<size_t>(oc)];
-        float* yo = y + oc * spatial;
-        const float* so = ps == nullptr ? nullptr : ps + oc * spatial;
-        for (int64_t s = 0; s < spatial; ++s) {
-          float v = scale * static_cast<float>(acc[s * o + oc] - corr) + bias;
-          if (so != nullptr) {
-            v += so[s];
-          }
-          yo[s] = relu && v < 0.0f ? 0.0f : v;
-        }
+      float* y = out.data() + i * plane;
+      if (channel_lanes) {
+        DequantSample<true>(acc, qw, spatial, ps, relu, y);
+      } else {
+        DequantSample<false>(acc, qw, spatial, ps, relu, y);
       }
     }
   });

@@ -526,35 +526,23 @@ bool FusedEngine::StepProblemDesc(const Step& step, int64_t batch,
                                   kernels::ProblemDesc* desc) const {
   switch (step.kind) {
     case OpKind::kConv: {
-      // The im2col GEMM of Conv2dForwardInto: W[O, C*KH*KW] times the column
-      // matrix [C*KH*KW, OH*OW]. Per sample it runs inside the per-batch
-      // ParallelFor, i.e. in the serial nested regime. When OH*OW is too
-      // narrow for the wide micro-kernels, a batch > 1 folds into one GEMM
-      // over [C*KH*KW, batch*OH*OW] that runs outside that loop. A quantized
-      // step runs the transposed orientation per sample — col_u8[OH*OW,
-      // C*KH*KW] times Wt_s8[C*KH*KW, O] — so rows and columns swap.
+      // The per-sample im2col GEMM (kernels::ConvProblem), which runs inside
+      // the per-batch ParallelFor, i.e. in the serial nested regime. When an
+      // f32 conv's OH*OW is too narrow for the wide micro-kernels, a batch > 1
+      // folds into one GEMM over [C*KH*KW, batch*OH*OW] that runs outside
+      // that loop. Int8 convs stay per sample.
       const Shape& w = step.weight.shape();
       const Shape& out = values_[static_cast<size_t>(step.out)].shape;
       if (w.Rank() != 4 || out.Rank() != 3) {
         return false;
       }
+      *desc = kernels::ConvProblem(
+          step.qconv != nullptr ? kernels::DType::kInt8 : kernels::DType::kF32, w[0],
+          w[1] * w[2] * w[3], out[1], out[2]);
       const int64_t spatial = out[1] * out[2];
-      desc->op = kernels::OpFamily::kGemmNN;
-      desc->k = w[1] * w[2] * w[3];
-      desc->aux0 = desc->aux1 = 0;
-      desc->threads = 1;
-      if (step.qconv != nullptr) {
-        desc->dtype = kernels::DType::kInt8;
-        desc->m = spatial;
-        desc->n = w[0];
-      } else {
-        desc->dtype = kernels::DType::kF32;
-        desc->m = w[0];
-        desc->n = spatial;
-        if (batch > 1 && spatial < kernels::kWideMinN) {
-          desc->n = batch * spatial;
-          desc->threads = GroupThreads(step.group);
-        }
+      if (step.qconv == nullptr && batch > 1 && spatial < kernels::kWideMinN) {
+        desc->n = batch * spatial;
+        desc->threads = GroupThreads(step.group);
       }
       return true;
     }
@@ -705,8 +693,9 @@ int FusedEngine::Quantize(const quant::QuantRecipe& recipe) {
     const Shape& w = step.weight.shape();
     if (step.kind == OpKind::kConv && spec.kind == "conv" && w.Rank() == 4 &&
         static_cast<int64_t>(spec.w_scales.size()) == w[0]) {
-      step.qconv = std::make_unique<quant::QConvWeights>(
-          quant::PackConvWeights(step.weight, step.bias, spec.in_q, spec.w_scales));
+      const Shape& out = values_[static_cast<size_t>(step.out)].shape;
+      step.qconv = std::make_unique<quant::QConvWeights>(quant::PackConvWeights(
+          step.weight, step.bias, spec.in_q, spec.w_scales, out[1], out[2]));
       step.qlinear.reset();
       ++applied;
     } else if (step.kind == OpKind::kLinear && step.skip < 0 && spec.kind == "linear" &&
@@ -890,6 +879,8 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
   };
   const double in_elems = elems(step.in0);
   const double out_elems = elems(step.out);
+  // Int8 steps read s8 weights; their activations stay f32 in memory.
+  const double weight_bytes = step.quantized() ? 1.0 : 4.0;
   switch (step.kind) {
     case OpKind::kConv: {
       const Shape& w = step.weight.shape();
@@ -898,7 +889,7 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
       // epilogue (bias/skip/relu) at one op per output element.
       *flops = 2.0 * static_cast<double>(w[0] * w[1] * w[2] * w[3]) * (out_elems / w[0]) +
                out_elems * (step.skip >= 0 ? 2.0 : 1.0);
-      *bytes = 4.0 * (in_elems + weight_elems + out_elems + elems(step.skip)) +
+      *bytes = 4.0 * (in_elems + out_elems + elems(step.skip)) + weight_bytes * weight_elems +
                4.0 * static_cast<double>(step.bias.size());
       break;
     }
@@ -909,8 +900,8 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
       const double epilogue = 1.0 + (step.skip >= 0 ? 1.0 : 0.0) +
                               (step.act == Activation::kGelu ? 8.0 : 0.0);
       *flops = 2.0 * rows * static_cast<double>(w[0] * w[1]) + epilogue * out_elems;
-      *bytes = 4.0 * (in_elems + static_cast<double>(w.NumElements()) + out_elems +
-                      elems(step.skip)) +
+      *bytes = 4.0 * (in_elems + out_elems + elems(step.skip)) +
+               weight_bytes * static_cast<double>(w.NumElements()) +
                4.0 * static_cast<double>(step.bias.size());
       break;
     }

@@ -79,15 +79,18 @@ class FusedEngine : public InferenceEngine {
   // recipe (u8 asymmetric activation params + per-output-channel s8 weight
   // scales). The engine is left unchanged — apply the recipe with Quantize().
   quant::QuantRecipe Calibrate(const std::vector<Tensor>& batches);
-  // Applies a recipe: packs s8 weights (conv weights transposed to (CKK, O)
-  // for the u8·s8 product), precomputes column sums / dequant scales / bias
-  // copies, drops all cached bindings, and re-annotates solvers. Steps whose
+  // Applies a recipe: packs s8 weights once, each conv's into the operand
+  // layout of the GEMM family its output shape selects (kernels::ConvProblem:
+  // output pixels on the lanes for wide outputs, output channels for narrow
+  // ones), precomputes column sums / dequant scales / bias copies, drops all
+  // cached bindings, and re-annotates solvers. Steps whose
   // seq/kind/channel-count do not match the live plan are skipped, as are
   // linears with a residual skip-add (the int8 linear epilogue has none, so
   // transformer proj/fc2 stay f32; Calibrate emits no spec for them). Returns
   // the number of steps switched to int8. Steady-state Run() afterwards still
   // performs zero tensor-storage allocations — quantized steps draw their u8
-  // im2col / s32 accumulator workspace from the thread-local scratch arena.
+  // image, tap words and s32 accumulator workspace from the thread-local
+  // scratch arena.
   int Quantize(const quant::QuantRecipe& recipe);
   int num_quantized_steps() const { return num_quantized_steps_; }
 

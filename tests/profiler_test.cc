@@ -14,11 +14,15 @@
 #include <string>
 
 #include "src/common/artifact_header.h"
+#include "src/core/model_parser.h"
+#include "src/core/multitask_model.h"
+#include "src/data/benchmarks.h"
 #include "src/kernels/machine.h"
 #include "src/kernels/tune_db.h"
 #include "src/obs/metrics.h"
 #include "src/obs/perf_counters.h"
 #include "src/obs/proc_stats.h"
+#include "src/runtime/fused_engine.h"
 #include "src/runtime/roofline.h"
 
 namespace gmorph {
@@ -284,6 +288,40 @@ TEST(RooflineReportTest, BatchScalesPerCallWork) {
   EXPECT_NEAR(report.steps[0].flops_per_call, 8e6, 1e-3);
   EXPECT_NEAR(report.steps[0].bytes_per_call, 8e4, 1e-3);
   EXPECT_NEAR(report.steps[0].ms_per_call, 1.0, 1e-9);
+}
+
+// Int8 steps read s8 weights, so Quantize() cuts each quantized step's
+// per-sample traffic by exactly 3 bytes per weight element; activations,
+// bias and every f32 step are charged as before.
+TEST(RooflineReportTest, Int8StepsCountWeightsAtOneByte) {
+  BenchmarkScale scale;
+  scale.train_size = 16;
+  scale.test_size = 8;
+  scale.cnn_width = 4;
+  BenchmarkDef def = MakeBenchmark(1, scale, 5);
+  std::vector<ModelSpec> specs;
+  for (const BenchmarkTask& task : def.tasks) {
+    specs.push_back(task.model);
+  }
+  Rng rng(7);
+  MultiTaskModel model(ParseModelSpecs(specs), rng);
+  FusedEngine engine(&model);
+  const std::vector<FusedEngine::StepProfile> before = engine.Profile();
+  ASSERT_GT(engine.Quantize(engine.Calibrate({def.train.InputBatch(0, 8)})), 0);
+  const std::vector<FusedEngine::StepProfile> after = engine.Profile();
+  const PlanIR plan = engine.ExportPlan();
+  ASSERT_EQ(before.size(), plan.steps.size());
+  ASSERT_EQ(after.size(), plan.steps.size());
+  int quantized = 0;
+  for (size_t i = 0; i < plan.steps.size(); ++i) {
+    const PlanStep& step = plan.steps[i];
+    const bool int8 = step.dtype == kernels::DType::kInt8;
+    quantized += int8 ? 1 : 0;
+    const double saved = int8 ? 3.0 * static_cast<double>(step.weight_shape.NumElements()) : 0.0;
+    EXPECT_EQ(after[i].bytes, before[i].bytes - saved) << step.label;
+    EXPECT_EQ(after[i].flops, before[i].flops) << step.label;
+  }
+  EXPECT_GT(quantized, 0);
 }
 
 TEST(RooflineReportTest, TextAndJsonCarryTheFallbackContract) {
