@@ -75,9 +75,10 @@ struct PlanStep {
   // kernel. For kConv this names the solver of the per-sample im2col GEMM.
   std::string solver;
   // Execution precision of the step's kernel. kInt8 marks a quantized
-  // conv/linear step: its GEMM is the u8·s8 product and — for kConv — runs in
-  // the transposed orientation (rows = output pixels), which CheckSolvers
-  // accounts for. f32 plans serialize without a dtype token (back-compat).
+  // conv/linear step: its GEMM is the u8·s8 product; for kConv its family
+  // (qconv_pixels or qconv_channels) and dims come from kernels::ConvProblem,
+  // which CheckSolvers calls too. f32 plans serialize without a dtype token
+  // (back-compat).
   kernels::DType dtype = kernels::DType::kF32;
 };
 

@@ -15,9 +15,9 @@
 // The pixel-lane tile serves qconv_pixels; the channel-lane tile serves
 // qconv_channels and, over weight panels packed per call, gemm_nn. The
 // *vnni solvers run the dot as one vpdpbusd; qgemm.packed, qconv.pixels and
-// qconv.channels emulate it exactly with two vpmaddwd on the widest vectors
-// the build has (AVX-512BW, AVX2, else scalar), so builds without
-// AVX512-VNNI run the same layouts and tiles.
+// qconv.channels emulate it exactly: with two vpmaddwd on the widest vectors
+// the build has (AVX-512BW, AVX2, SSE2), else with byte planes in GCC vector
+// extensions. Builds without AVX512-VNNI run the same layouts and tiles.
 #include <algorithm>
 #include <cstring>
 #include <vector>
@@ -68,40 +68,73 @@ uint32_t LoadWord(const void* p) {
 // four products of the lane's u8 bytes in `a` with its s8 bytes in `b`,
 // wrapping like vpdpbusd. PrepU8/PrepS8 turn a raw operand into Dot's input
 // once, so a loaded vector or a broadcast word feeds many Dots. Tile shapes
-// (pixel tile rows x vectors, channel tile rows) keep the accumulators in
-// registers: 16 zmm of 32, 8 ymm of 16.
+// (pixel tile rows x vectors, channel tile rows x vectors per pass) keep the
+// accumulators and prepped operands in registers: 16 zmm of 32, 8 ymm or
+// 8 xmm of 16.
 
-// Scalar fallback: one lane, for builds with no x86 SIMD.
-struct ScalarDot {
-  using T = uint32_t;  // wraps like the vector lanes
-  using U8 = uint32_t;
-  using S8 = uint32_t;
-  static constexpr int kLanes = 1;
+// Fallback for builds without x86 SIMD (NEON and other ISAs), in GCC vector
+// extensions: each byte of a word widens to its own s32 plane, so Dot is
+// four lane multiply-adds. Unsigned lanes wrap like vpdpbusd; a
+// sign-extended s8 times a u8 is the signed product mod 2^32.
+struct VecDot {
+  using T = uint32_t __attribute__((vector_size(16)));
+  using S32 = int32_t __attribute__((vector_size(16)));
+  struct Planes {
+    T p[4];
+  };
+  using U8 = Planes;
+  using S8 = Planes;
+  static constexpr int kLanes = 4;
   static constexpr int kPixelRows = 4;
-  static constexpr int kPixelVecs = 4;
+  static constexpr int kPixelVecs = 1;
   static constexpr int kChannelRows = 1;
-  static T Zero() { return 0; }
-  static T Load(const void* p) { return LoadWord(p); }
-  static T LoadPartial(const void* p, int /*n*/) { return LoadWord(p); }
-  static T Broadcast(uint32_t w) { return w; }
-  static U8 PrepU8(T v) { return v; }
-  static S8 PrepS8(T v) { return v; }
-  static T Dot(T acc, U8 a, S8 b) {
-    for (int j = 0; j < 4; ++j) {
-      const int32_t av = static_cast<int32_t>((a >> (8 * j)) & 0xFF);
-      const int32_t bv = static_cast<int8_t>((b >> (8 * j)) & 0xFF);
-      acc += static_cast<uint32_t>(av * bv);
-    }
-    return acc;
+  static constexpr int kChannelVecs = 2;
+  static T Zero() { return T{}; }
+  static T Load(const void* p) {
+    T v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
   }
-  static void Store(int32_t* p, T v) { *p = static_cast<int32_t>(v); }
-  static void StorePartial(int32_t* p, T v, int /*n*/) { Store(p, v); }
+  static T LoadPartial(const void* p, int n) {
+    T v{};
+    std::memcpy(&v, p, static_cast<size_t>(4 * n));
+    return v;
+  }
+  static T Broadcast(uint32_t w) { return T{} + w; }
+  static U8 PrepU8(T v) { return {{v & 0xFF, (v >> 8) & 0xFF, (v >> 16) & 0xFF, v >> 24}}; }
+  static S8 PrepS8(T v) {
+    return {{T(S32(v << 24) >> 24), T(S32(v << 16) >> 24), T(S32(v << 8) >> 24),
+             T(S32(v) >> 24)}};
+  }
+  static T Dot(T acc, const U8& a, const S8& b) {
+    return acc + a.p[0] * b.p[0] + a.p[1] * b.p[1] + a.p[2] * b.p[2] + a.p[3] * b.p[3];
+  }
+  static void Store(int32_t* p, T v) { std::memcpy(p, &v, sizeof(v)); }
+  static void StorePartial(int32_t* p, T v, int n) {
+    std::memcpy(p, &v, static_cast<size_t>(4 * n));
+  }
 };
 
-// The vpmaddwd emulation of vpdpbusd, exact for every byte pair: even and
-// odd bytes widen to s16 (u8 by masking and shifting, s8 by arithmetic
-// shifts), each vpmaddwd sums two s16 products (|sum| <= 2*255*127) into
-// s32, and the lane sum wraps on the final add exactly as vpdpbusd does.
+// The vpmaddwd emulation of vpdpbusd over the integer vectors `Io` wraps,
+// exact for every byte pair: even and odd bytes widen to s16 (u8 by masking
+// and shifting, s8 by arithmetic shifts), each vpmaddwd sums two s16
+// products (|sum| <= 2*255*128) into s32, and the lane sum wraps on the
+// final add exactly as vpdpbusd does.
+template <class Io>
+struct MaddDot : Io {
+  using T = typename Io::T;
+  struct Pair {
+    T even, odd;
+  };
+  using U8 = Pair;
+  using S8 = Pair;
+  static U8 PrepU8(T v) { return {Io::And(v, Io::Set16(0x00FF)), Io::Srli16By8(v)}; }
+  static S8 PrepS8(T v) { return {Io::Srai16By8(Io::Slli16By8(v)), Io::Srai16By8(v)}; }
+  static T Dot(T acc, const U8& a, const S8& b) {
+    return Io::Add32(acc, Io::Add32(Io::Madd16(a.even, b.even), Io::Madd16(a.odd, b.odd)));
+  }
+};
+
 #if defined(__AVX512BW__)
 struct Avx512Io {
   using T = __m512i;
@@ -109,6 +142,7 @@ struct Avx512Io {
   static constexpr int kPixelRows = 4;
   static constexpr int kPixelVecs = 4;
   static constexpr int kChannelRows = 4;
+  static constexpr int kChannelVecs = 4;
   static __mmask16 LaneMask(int n) { return static_cast<__mmask16>((1u << n) - 1); }
   static T Zero() { return _mm512_setzero_si512(); }
   static T Load(const void* p) { return _mm512_loadu_si512(p); }
@@ -116,38 +150,23 @@ struct Avx512Io {
   static T Broadcast(uint32_t w) { return _mm512_set1_epi32(static_cast<int32_t>(w)); }
   static void Store(int32_t* p, T v) { _mm512_storeu_si512(p, v); }
   static void StorePartial(int32_t* p, T v, int n) { _mm512_mask_storeu_epi32(p, LaneMask(n), v); }
+  static T And(T a, T b) { return _mm512_and_si512(a, b); }
+  static T Set16(int16_t v) { return _mm512_set1_epi16(v); }
+  static T Srli16By8(T v) { return _mm512_srli_epi16(v, 8); }
+  static T Slli16By8(T v) { return _mm512_slli_epi16(v, 8); }
+  static T Srai16By8(T v) { return _mm512_srai_epi16(v, 8); }
+  static T Madd16(T a, T b) { return _mm512_madd_epi16(a, b); }
+  static T Add32(T a, T b) { return _mm512_add_epi32(a, b); }
 };
-
-struct Avx512MaddDot : Avx512Io {
-  struct Pair {
-    __m512i even, odd;
-  };
-  using U8 = Pair;
-  using S8 = Pair;
-  static U8 PrepU8(T v) {
-    return {_mm512_and_si512(v, _mm512_set1_epi16(0x00FF)), _mm512_srli_epi16(v, 8)};
-  }
-  static S8 PrepS8(T v) {
-    return {_mm512_srai_epi16(_mm512_slli_epi16(v, 8), 8), _mm512_srai_epi16(v, 8)};
-  }
-  static T Dot(T acc, const U8& a, const S8& b) {
-    return _mm512_add_epi32(acc, _mm512_add_epi32(_mm512_madd_epi16(a.even, b.even),
-                                                  _mm512_madd_epi16(a.odd, b.odd)));
-  }
-};
-using PortableDot = Avx512MaddDot;
+using PortableDot = MaddDot<Avx512Io>;
 #elif defined(__AVX2__)
-struct Avx2MaddDot {
+struct Avx2Io {
   using T = __m256i;
-  struct Pair {
-    __m256i even, odd;
-  };
-  using U8 = Pair;
-  using S8 = Pair;
   static constexpr int kLanes = 8;
   static constexpr int kPixelRows = 4;
   static constexpr int kPixelVecs = 2;
   static constexpr int kChannelRows = 1;
+  static constexpr int kChannelVecs = 4;
   static __m256i LaneMask(int n) {
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
   }
@@ -157,22 +176,48 @@ struct Avx2MaddDot {
     return _mm256_maskload_epi32(static_cast<const int*>(p), LaneMask(n));
   }
   static T Broadcast(uint32_t w) { return _mm256_set1_epi32(static_cast<int32_t>(w)); }
-  static U8 PrepU8(T v) {
-    return {_mm256_and_si256(v, _mm256_set1_epi16(0x00FF)), _mm256_srli_epi16(v, 8)};
-  }
-  static S8 PrepS8(T v) {
-    return {_mm256_srai_epi16(_mm256_slli_epi16(v, 8), 8), _mm256_srai_epi16(v, 8)};
-  }
-  static T Dot(T acc, const U8& a, const S8& b) {
-    return _mm256_add_epi32(acc, _mm256_add_epi32(_mm256_madd_epi16(a.even, b.even),
-                                                  _mm256_madd_epi16(a.odd, b.odd)));
-  }
   static void Store(int32_t* p, T v) { _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v); }
   static void StorePartial(int32_t* p, T v, int n) { _mm256_maskstore_epi32(p, LaneMask(n), v); }
+  static T And(T a, T b) { return _mm256_and_si256(a, b); }
+  static T Set16(int16_t v) { return _mm256_set1_epi16(v); }
+  static T Srli16By8(T v) { return _mm256_srli_epi16(v, 8); }
+  static T Slli16By8(T v) { return _mm256_slli_epi16(v, 8); }
+  static T Srai16By8(T v) { return _mm256_srai_epi16(v, 8); }
+  static T Madd16(T a, T b) { return _mm256_madd_epi16(a, b); }
+  static T Add32(T a, T b) { return _mm256_add_epi32(a, b); }
 };
-using PortableDot = Avx2MaddDot;
+using PortableDot = MaddDot<Avx2Io>;
+#elif defined(__SSE2__)
+struct Sse2Io {
+  using T = __m128i;
+  static constexpr int kLanes = 4;
+  static constexpr int kPixelRows = 4;
+  static constexpr int kPixelVecs = 2;
+  static constexpr int kChannelRows = 1;
+  static constexpr int kChannelVecs = 4;
+  static T Zero() { return _mm_setzero_si128(); }
+  static T Load(const void* p) { return _mm_loadu_si128(static_cast<const __m128i*>(p)); }
+  static T LoadPartial(const void* p, int n) {
+    T v = Zero();
+    std::memcpy(&v, p, static_cast<size_t>(4 * n));
+    return v;
+  }
+  static T Broadcast(uint32_t w) { return _mm_set1_epi32(static_cast<int32_t>(w)); }
+  static void Store(int32_t* p, T v) { _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v); }
+  static void StorePartial(int32_t* p, T v, int n) {
+    std::memcpy(p, &v, static_cast<size_t>(4 * n));
+  }
+  static T And(T a, T b) { return _mm_and_si128(a, b); }
+  static T Set16(int16_t v) { return _mm_set1_epi16(v); }
+  static T Srli16By8(T v) { return _mm_srli_epi16(v, 8); }
+  static T Slli16By8(T v) { return _mm_slli_epi16(v, 8); }
+  static T Srai16By8(T v) { return _mm_srai_epi16(v, 8); }
+  static T Madd16(T a, T b) { return _mm_madd_epi16(a, b); }
+  static T Add32(T a, T b) { return _mm_add_epi32(a, b); }
+};
+using PortableDot = MaddDot<Sse2Io>;
 #else
-using PortableDot = ScalarDot;
+using PortableDot = VecDot;
 #endif
 
 #if GMORPH_HAVE_VNNI
@@ -268,9 +313,11 @@ void PixelLaneGemm(int64_t m, int64_t k, int64_t n, const int8_t* w, const uint8
 // ---- Channel-lane tile (kQConvChannels, and kGemmNN's panel solvers) ----
 //
 // An MR-row x kPanel-column tile of C over one weight panel, with output
-// channels on the lanes. Per tap group it loads the panel's kPanel channel
-// words once and broadcasts each row's activation word against them; writes
-// only the nr valid columns. `Words` reads row r's word of tap group g.
+// channels on the lanes, in passes of D::kChannelVecs vectors so the
+// prepped weights fit in registers beside the accumulators. Per tap group a
+// pass loads its channel words once and broadcasts each row's activation
+// word against them. Passes past the nr valid columns are skipped, and only
+// valid columns are written. `Words` reads row r's word of tap group g.
 
 // Row-major A[M, K] (kGemmNN): four consecutive u8 of row r, zero-padded
 // past the end of the row.
@@ -301,38 +348,42 @@ struct TapWords {
 template <class D, int MR, class Words>
 void ChannelTile(int64_t groups, const Words& a, int64_t r0, const int8_t* GMORPH_RESTRICT panel,
                  int32_t* GMORPH_RESTRICT c, int64_t ldc, int64_t nr) {
-  constexpr int kNV = static_cast<int>(kPanel / D::kLanes);
-  typename D::T acc[MR][kNV];
-  for (int r = 0; r < MR; ++r) {
-    for (int v = 0; v < kNV; ++v) {
-      acc[r][v] = D::Zero();
-    }
-  }
-  for (int64_t g = 0; g < groups; ++g) {
-    const int8_t* pg = panel + g * kPanel * 4;
-    typename D::S8 wv[kNV];
-    for (int v = 0; v < kNV; ++v) {
-      wv[v] = D::PrepS8(D::Load(pg + v * D::kLanes * 4));
-    }
+  constexpr int kNV = D::kChannelVecs;
+  constexpr int64_t kPassCols = kNV * D::kLanes;
+  for (int64_t col0 = 0; col0 < nr; col0 += kPassCols) {
+    typename D::T acc[MR][kNV];
     for (int r = 0; r < MR; ++r) {
-      const typename D::U8 ab = D::PrepU8(D::Broadcast(a(r0 + r, g)));
       for (int v = 0; v < kNV; ++v) {
-        acc[r][v] = D::Dot(acc[r][v], ab, wv[v]);
+        acc[r][v] = D::Zero();
       }
     }
-  }
-  for (int r = 0; r < MR; ++r) {
-    int32_t* cr = c + r * ldc;
-    if (nr == kPanel) {
+    for (int64_t g = 0; g < groups; ++g) {
+      const int8_t* pg = panel + (g * kPanel + col0) * 4;
+      typename D::S8 wv[kNV];
       for (int v = 0; v < kNV; ++v) {
-        D::Store(cr + v * D::kLanes, acc[r][v]);
+        wv[v] = D::PrepS8(D::Load(pg + v * D::kLanes * 4));
       }
-    } else {
-      int32_t tmp[kPanel];
-      for (int v = 0; v < kNV; ++v) {
-        D::Store(tmp + v * D::kLanes, acc[r][v]);
+      for (int r = 0; r < MR; ++r) {
+        const typename D::U8 ab = D::PrepU8(D::Broadcast(a(r0 + r, g)));
+        for (int v = 0; v < kNV; ++v) {
+          acc[r][v] = D::Dot(acc[r][v], ab, wv[v]);
+        }
       }
-      std::copy(tmp, tmp + nr, cr);
+    }
+    const int64_t valid = std::min(kPassCols, nr - col0);
+    for (int r = 0; r < MR; ++r) {
+      int32_t* cr = c + r * ldc + col0;
+      if (valid == kPassCols) {
+        for (int v = 0; v < kNV; ++v) {
+          D::Store(cr + v * D::kLanes, acc[r][v]);
+        }
+      } else {
+        int32_t tmp[kPassCols];
+        for (int v = 0; v < kNV; ++v) {
+          D::Store(tmp + v * D::kLanes, acc[r][v]);
+        }
+        std::copy(tmp, tmp + valid, cr);
+      }
     }
   }
 }
@@ -362,10 +413,8 @@ void ChannelLaneGemm(int64_t m, int64_t k, int64_t n, const Words& a, const int8
 
 // Interleaves four byte rows into n 32-bit words: word i holds bytes
 // [rows[0][i], rows[1][i], rows[2][i], rows[3][i]]; a null row reads as
-// zeros. With kOverRead the last 1-3 words load 4 bytes per row, reading up
-// to 3 bytes past a row's end. Inlined into its two callers: per output row
-// it runs once per tap group, so a call costs as much as a narrow row.
-template <bool kOverRead>
+// zeros. Inlined into its two callers: per output row it runs once per tap
+// group, so a call costs as much as a narrow row.
 inline void InterleaveWords(const uint8_t* const rows[4], int64_t n, uint8_t* out) {
   // Null rows read a zero block without advancing.
   static const uint8_t kZeros[16] = {};
@@ -407,24 +456,10 @@ inline void InterleaveWords(const uint8_t* const rows[4], int64_t n, uint8_t* ou
   const auto load4 = [&](int j) {
     return _mm_cvtsi32_si128(static_cast<int>(LoadWord(p[j] + i * step[j])));
   };
-  for (; i < n && (kOverRead || i + 4 <= n); i += 4) {
+  for (; i + 4 <= n; i += 4) {
     const __m128i t0 = _mm_unpacklo_epi8(load4(0), load4(1));
     const __m128i t2 = _mm_unpacklo_epi8(load4(2), load4(3));
-    __m128i words = _mm_unpacklo_epi16(t0, t2);
-    uint8_t* o = out + 4 * i;
-    if (i + 4 <= n) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(o), words);
-      continue;
-    }
-    if (n - i >= 2) {
-      _mm_storel_epi64(reinterpret_cast<__m128i*>(o), words);
-      words = _mm_srli_si128(words, 8);
-      o += 8;
-    }
-    if ((n - i) % 2 == 1) {
-      const int32_t w = _mm_cvtsi128_si32(words);
-      std::memcpy(o, &w, 4);
-    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 4 * i), _mm_unpacklo_epi16(t0, t2));
   }
 #endif
   for (; i < n; ++i) {
@@ -449,7 +484,7 @@ void PackPanels(const int8_t* b, int64_t k, int64_t n, int8_t* dst) {
                                 : nullptr;
       }
       uint8_t* out = reinterpret_cast<uint8_t*>(dst + g * kPanel * 4);
-      InterleaveWords<false>(rows, nr, out);
+      InterleaveWords(rows, nr, out);
       std::memset(out + nr * 4, 0, static_cast<size_t>((kPanel - nr) * 4));
     }
     dst += groups * kPanel * 4;
@@ -705,7 +740,7 @@ void BuildTapWords(const uint8_t* image, int64_t c, int64_t hp, int64_t wp, int6
         for (int64_t j = 0; j < 4; ++j) {
           rows[j] = off[j] >= 0 ? image + off[j] + oy * wp : nullptr;
         }
-        InterleaveWords<true>(rows, ow, dst + oy * ow * 4);
+        InterleaveWords(rows, ow, dst + oy * ow * 4);
       }
       continue;
     }

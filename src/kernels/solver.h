@@ -110,11 +110,12 @@ ProblemDesc GemmProblem(OpFamily op, int64_t m, int64_t k, int64_t n);
 ProblemDesc QGemmProblem(int64_t m, int64_t k, int64_t n);
 // Fewest output pixels (OH*OW) for which an int8 conv puts pixels on the
 // lanes: one full 4 x 16-pixel register tile. Narrower outputs (the 4x4 and
-// 2x2 convs, stride-8 patch convs) keep output channels on the lanes, where
-// O = 64 fills every lane. Measured on one AVX-512 VNNI core, 64->64 GEMMs
-// with K = 576: at 2x2 pixel lanes fill 4 of 16 lanes and take 2.4 us
-// against 0.6 us; at 4x4 the whole conv steps are within 10% either way;
-// from 8x8 up pixel lanes win (7.0 against 9.5 us).
+// 2x2 convs, a stride-8 patch conv over a 32x32 image) keep output channels
+// on the lanes, where O = 64 fills every lane; the same patch conv over a
+// 64x64 image has an 8x8 output and takes pixel lanes. Measured on one
+// AVX-512 VNNI core, 64->64 GEMMs with K = 576: at 2x2 pixel lanes fill 4 of
+// 16 lanes and take 2.4 us against 0.6 us; at 4x4 the whole conv steps are
+// within 10% either way; from 8x8 up pixel lanes win (7.0 against 9.5 us).
 inline constexpr int64_t kQConvPixelsMinSpatial = 64;
 // The per-sample GEMM of a conv with `out_channels` filters over `ckk` =
 // C*KH*KW taps and an oh x ow output, at threads = 1 (it runs inside the
@@ -250,8 +251,7 @@ void RefQMatmulNN(const uint8_t* a, const int8_t* b, int32_t* c, int64_t m, int6
 // tap words [ceil(K/4)][OH*OW][4] both conv families read (QGemmCall), K =
 // C*kernel*kernel taps in (C, KH, KW) order, taps past K zero. At stride 1 a
 // group's four taps interleave four contiguous row spans; other strides
-// gather per pixel. Reads up to kTapWordsSlack bytes past the image.
-inline constexpr int64_t kTapWordsSlack = 3;
+// gather per pixel.
 void BuildTapWords(const uint8_t* image, int64_t c, int64_t hp, int64_t wp, int64_t kernel,
                    int64_t stride, int64_t oh, int64_t ow, uint8_t* words);
 

@@ -213,8 +213,7 @@ void QConv2dForwardInto(const Tensor& x, const QConvWeights& qw, const Conv2dArg
   ParallelFor(0, n, ItemGrain(plane), [&](int64_t lo, int64_t hi) {
     ScratchScope scope;
     uint8_t* flat = pad > 0 ? scope.Alloc<uint8_t>(static_cast<size_t>(c * h * wd)) : nullptr;
-    uint8_t* image =
-        scope.Alloc<uint8_t>(static_cast<size_t>(c * hp * wp + kernels::kTapWordsSlack));
+    uint8_t* image = scope.Alloc<uint8_t>(static_cast<size_t>(c * hp * wp));
     uint8_t* words = scope.Alloc<uint8_t>(static_cast<size_t>(kernels::QActBytes(desc)));
     int32_t* acc = scope.Alloc<int32_t>(static_cast<size_t>(plane));
     for (int64_t i = lo; i < hi; ++i) {

@@ -18,7 +18,8 @@
 //     conv's orientation: out[O, S] = W_s8[O, K] · X_u8[K, S]. The s32
 //     result is the NCHW plane, so the epilogue reads and writes contiguous
 //     rows;
-//   - narrow outputs (the 4x4 and 2x2 convs, stride-8 patch convs) put
+//   - narrow outputs (the 4x4 and 2x2 convs, a stride-8 patch conv over a
+//     32x32 image; over a 64x64 image its 8x8 output is wide) put
 //     output channels on the lanes, out[S, O] = X_u8[S, K] · W_s8[K, O], so
 //     O = 64 fills every lane; the epilogue transposes as it dequantizes.
 // Both read one u8 im2col, "tap words": a 32-bit word holds four consecutive
