@@ -139,8 +139,10 @@ void BenchConv(Rng& rng, const char* name, int64_t batch, int64_t c, int64_t hw,
   Tensor y = Conv2dForward(x, w, b, args);
   Tensor grad_w(w.shape());
   Tensor grad_b(b.shape());
+  // Backward runs two GEMMs of the forward's size (weight and input
+  // gradient) and no forward.
   BenchResult bwd = Run([&] { Conv2dBackward(x, w, y, args, grad_w, grad_b); });
-  PrintLine(std::string("conv_bwd_") + name, shape, 3.0 * fwd_flops, bwd, nullptr);
+  PrintLine(std::string("conv_bwd_") + name, shape, 2.0 * fwd_flops, bwd, nullptr);
 }
 
 void BenchAttention(Rng& rng, int64_t batch, int64_t t, int64_t dim, int64_t heads) {
@@ -316,6 +318,10 @@ void Main(const std::string& dtype_filter) {
     BenchConv(rng, "vgg_first", 8, 3, 32, 8, 3, 1, 1);
     BenchConv(rng, "vgg_mid", 8, 16, 16, 32, 3, 1, 1);
     BenchConv(rng, "resnet_stride", 8, 16, 16, 32, 3, 2, 1);
+    // The two shapes that dominate search-b1's fine-tuning backward (VGG-13
+    // at base width 4, batch 16): 4->4 at 32x32 and 32->32 at 4x4.
+    BenchConv(rng, "vgg13_c2", 16, 4, 32, 4, 3, 1, 1);
+    BenchConv(rng, "vgg13_c8", 16, 32, 4, 32, 3, 1, 1);
 
     BenchAttention(rng, 8, 17, 32, 4);
   }

@@ -11,10 +11,48 @@
 #include "src/kernels/scratch.h"
 #include "src/kernels/solver.h"
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 namespace gmorph::kernels {
 namespace {
 
 #define GMORPH_RESTRICT __restrict__
+
+// Transpose tile: 8 x 8 floats, one ymm register per row on AVX builds.
+constexpr int64_t kTB = 8;
+
+#if defined(__AVX__)
+// dst[c * ldd + r] = src[r * lds + c] for one full 8 x 8 tile: eight row
+// loads, three shuffle stages, eight row stores.
+void Transpose8x8(const float* src, int64_t lds, float* dst, int64_t ldd) {
+  __m256 r[kTB];
+  for (int64_t i = 0; i < kTB; ++i) {
+    r[i] = _mm256_loadu_ps(src + i * lds);
+  }
+  __m256 t[kTB];
+  for (int64_t i = 0; i < kTB; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // s[4g + q] holds column q (low half) and column q + 4 (high half) of rows
+  // 4g..4g+3.
+  __m256 s[kTB];
+  for (int64_t g = 0; g < 2; ++g) {
+    __m256* sg = s + 4 * g;
+    const __m256* tg = t + 4 * g;
+    sg[0] = _mm256_shuffle_ps(tg[0], tg[2], _MM_SHUFFLE(1, 0, 1, 0));
+    sg[1] = _mm256_shuffle_ps(tg[0], tg[2], _MM_SHUFFLE(3, 2, 3, 2));
+    sg[2] = _mm256_shuffle_ps(tg[1], tg[3], _MM_SHUFFLE(1, 0, 1, 0));
+    sg[3] = _mm256_shuffle_ps(tg[1], tg[3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (int64_t q = 0; q < 4; ++q) {
+    _mm256_storeu_ps(dst + q * ldd, _mm256_permute2f128_ps(s[q], s[q + 4], 0x20));
+    _mm256_storeu_ps(dst + (q + 4) * ldd, _mm256_permute2f128_ps(s[q], s[q + 4], 0x31));
+  }
+}
+#endif
 
 // Register tile of the wide-N micro-kernel: MR x 32 accumulators held in
 // registers; the j-loop over kNR auto-vectorizes (no branches, restrict
@@ -170,19 +208,12 @@ void PackB(const MatView& b, int64_t p0, int64_t kc, int64_t j0, int64_t nc, flo
         }
       }
     } else {
-      // Transposed source (the NT variant): walk columns so reads stay
-      // contiguous in the caller's array.
-      for (int64_t j = 0; j < nr; ++j) {
-        const float* src = b.at(p0, j0 + jr + j);
-        float* out = dst + j;
+      // Transposed source (the NT variant, rs == 1): the panel is the
+      // transpose of nr contiguous source rows.
+      Transpose(nr, kc, b.at(p0, j0 + jr), b.cs, dst, kNR);
+      if (nr < kNR) {
         for (int64_t p = 0; p < kc; ++p) {
-          out[p * kNR] = src[p * b.rs];
-        }
-      }
-      for (int64_t j = nr; j < kNR; ++j) {
-        float* out = dst + j;
-        for (int64_t p = 0; p < kc; ++p) {
-          out[p * kNR] = 0.0f;
+          std::fill(dst + p * kNR + nr, dst + (p + 1) * kNR, 0.0f);
         }
       }
     }
@@ -307,28 +338,18 @@ void GemmDot(int64_t m, int64_t k, int64_t n, const MatView& a, const MatView& b
   const float* arows = a.data;
   int64_t lda = a.rs;
   if (a.cs != 1) {
-    float* packed = scope.AllocFloats(static_cast<size_t>(m * k));
     // Source columns are contiguous (rs == 1 for the TN view).
-    for (int64_t i = 0; i < m; ++i) {
-      const float* src = a.at(i, 0);
-      float* dst = packed + i * k;
-      for (int64_t p = 0; p < k; ++p) {
-        dst[p] = src[p * a.cs];
-      }
-    }
+    float* packed = scope.AllocFloats(static_cast<size_t>(m * k));
+    Transpose(k, m, a.data, a.cs, packed, k);
     arows = packed;
     lda = k;
   }
   const float* btrows = b.data;
   int64_t ldbt = b.cs;
   if (b.rs != 1) {
+    // Source rows are contiguous (cs == 1 for the NN and TN views).
     float* packed = scope.AllocFloats(static_cast<size_t>(n * k));
-    for (int64_t p = 0; p < k; ++p) {
-      const float* src = b.at(p, 0);
-      for (int64_t j = 0; j < n; ++j) {
-        packed[j * k + p] = src[j * b.cs];
-      }
-    }
+    Transpose(k, n, b.data, b.rs, packed, k);
     btrows = packed;
     ldbt = k;
   }
@@ -400,12 +421,7 @@ class GemmDirect final : public GemmSolver {
     // NT: materialize row-major B once, then run the direct kernel over it.
     ScratchScope scope;
     float* bmat = scope.AllocFloats(static_cast<size_t>(desc.k * desc.n));
-    for (int64_t j = 0; j < desc.n; ++j) {
-      const float* src = call.b.at(0, j);
-      for (int64_t p = 0; p < desc.k; ++p) {
-        bmat[p * desc.n + j] = src[p * call.b.rs];
-      }
-    }
+    Transpose(desc.n, desc.k, call.b.data, call.b.cs, bmat, desc.n);
     GemmWideDirect(desc.m, desc.k, desc.n, call.a, bmat, desc.n, call.c, call.accumulate);
   }
 };
@@ -444,6 +460,31 @@ class GemmDotSolverImpl final : public GemmSolver {
 };
 
 }  // namespace
+
+void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds, float* dst,
+               int64_t ldd) {
+  // Destination rows outermost, so each block of kTB destination rows fills
+  // front to back while the source rows it reads stay in L1.
+  for (int64_t c0 = 0; c0 < cols; c0 += kTB) {
+    const int64_t cb = std::min(kTB, cols - c0);
+    for (int64_t r0 = 0; r0 < rows; r0 += kTB) {
+      const int64_t rb = std::min(kTB, rows - r0);
+      const float* s = src + r0 * lds + c0;
+      float* d = dst + c0 * ldd + r0;
+#if defined(__AVX__)
+      if (rb == kTB && cb == kTB) {
+        Transpose8x8(s, lds, d, ldd);
+        continue;
+      }
+#endif
+      for (int64_t c = 0; c < cb; ++c) {
+        for (int64_t r = 0; r < rb; ++r) {
+          d[c * ldd + r] = s[r * lds + c];
+        }
+      }
+    }
+  }
+}
 
 const GemmSolver* GemmRefSolver() {
   static const GemmRef solver;

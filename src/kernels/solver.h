@@ -159,6 +159,18 @@ struct GemmCall {
 GemmCall MakeGemmCall(const ProblemDesc& desc, const float* a, const float* b, float* c,
                       bool accumulate);
 
+// dst[c * ldd + r] = src[r * lds + c] for r < rows, c < cols: the transposes
+// behind the NT and TN layouts (the solvers' packing copies, and callers
+// that transpose an operand once for many products). Destination rows are
+// written in contiguous runs, 8 x 8 tiles at a time (in registers on AVX
+// builds). Pure data movement. Every f32 solver sums a TN product exactly as
+// its NN product over the explicitly transposed A, and gemm.direct,
+// gemm.packed and gemm.dot sum an NT product exactly as their NN product
+// over the explicitly transposed B (gemm.ref's NT loop sums each dot product
+// apart, so it is the exception).
+void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds, float* dst,
+               int64_t ldd);
+
 // A bound max-pool invocation: x is m contiguous h x w planes, out is m
 // contiguous oh x ow planes (valid pooling, no padding).
 struct PoolCall {

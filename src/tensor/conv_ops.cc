@@ -9,7 +9,6 @@
 #include "src/kernels/registry.h"
 #include "src/kernels/scratch.h"
 #include "src/kernels/solver.h"
-#include "src/tensor/tensor_ops.h"
 
 namespace gmorph {
 namespace {
@@ -27,6 +26,21 @@ int64_t ItemGrain(int64_t per_item) {
 // channels at 32x32 take 25-35 us against 5-8 us.
 constexpr int64_t kBlockCopyMinWidth = 8;
 
+// The outputs [lo, hi) along one axis whose input coordinate
+// o * stride + tap - padding lies inside [0, in), clamped to [0, out).
+struct TapRange {
+  int64_t lo;
+  int64_t hi;
+};
+TapRange ValidTapRange(int64_t in, int64_t out, int64_t tap, int64_t stride, int64_t padding) {
+  // First o with o * stride >= v, for any sign of v.
+  const auto first_at_least = [stride](int64_t v) {
+    return v <= 0 ? int64_t{0} : (v + stride - 1) / stride;
+  };
+  const int64_t lo = std::min(first_at_least(padding - tap), out);
+  return {lo, std::clamp(first_at_least(in + padding - tap), lo, out)};
+}
+
 // Expands one sample (C,H,W) into the column matrix [C*KH*KW, OH*OW]; row r
 // starts at col + r * ldcol (OH*OW for one sample's own matrix, batch*OH*OW
 // when the batch is folded into one GEMM).
@@ -41,12 +55,10 @@ void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int
     for (int64_t ch = 0; ch < c; ++ch) {
       const float* plane = x + ch * h * w;
       for (int64_t kh = 0; kh < kernel; ++kh) {
-        const int64_t y0 = std::clamp<int64_t>(padding - kh, 0, oh);
-        const int64_t y1 = std::clamp<int64_t>(h + padding - kh, y0, oh);
+        const auto [y0, y1] = ValidTapRange(h, oh, kh, 1, padding);
         for (int64_t kw = 0; kw < kernel; ++kw) {
           float* dst = col + ((ch * kernel + kh) * kernel + kw) * ldcol;
-          const int64_t x0 = std::clamp<int64_t>(padding - kw, 0, ow);
-          const int64_t x1 = std::clamp<int64_t>(w + padding - kw, x0, ow);
+          const auto [x0, x1] = ValidTapRange(w, ow, kw, 1, padding);
           if (y0 == y1 || x0 == x1) {
             std::fill(dst, dst + spatial, 0.0f);
             continue;
@@ -93,24 +105,33 @@ void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int
   }
 }
 
-// Scatter-adds a column matrix back into a (C,H,W) gradient image.
+// Scatter-adds a column matrix back into a (C,H,W) gradient image. Each tap
+// adds whole spans of its valid rows instead of bounds-testing every element.
+// Terms are visited in (ch, kh, kw, oy, ox) order, so every input element
+// receives its terms in the sequence the training arithmetic pins (DESIGN.md
+// §5b).
 void Col2Im(const float* col, int64_t c, int64_t h, int64_t w, int64_t kernel, int64_t stride,
             int64_t padding, int64_t oh, int64_t ow, float* x_grad) {
   for (int64_t ch = 0; ch < c; ++ch) {
     for (int64_t kh = 0; kh < kernel; ++kh) {
+      const auto [y0, y1] = ValidTapRange(h, oh, kh, stride, padding);
       for (int64_t kw = 0; kw < kernel; ++kw) {
+        const auto [x0, x1] = ValidTapRange(w, ow, kw, stride, padding);
+        if (x0 == x1) {
+          continue;
+        }
         const float* col_row = col + ((ch * kernel + kh) * kernel + kw) * (oh * ow);
-        for (int64_t oy = 0; oy < oh; ++oy) {
-          const int64_t iy = oy * stride + kh - padding;
-          if (iy < 0 || iy >= h) {
-            continue;
-          }
-          float* dst_row = x_grad + (ch * h + iy) * w;
-          const float* src = col_row + oy * ow;
-          for (int64_t ox = 0; ox < ow; ++ox) {
-            const int64_t ix = ox * stride + kw - padding;
-            if (ix >= 0 && ix < w) {
-              dst_row[ix] += src[ox];
+        const int64_t ix0 = x0 * stride + kw - padding;
+        for (int64_t oy = y0; oy < y1; ++oy) {
+          float* dst = x_grad + (ch * h + oy * stride + kh - padding) * w + ix0;
+          const float* src = col_row + oy * ow + x0;
+          if (stride == 1) {  // contiguous spans: this loop vectorizes
+            for (int64_t j = 0; j < x1 - x0; ++j) {
+              dst[j] += src[j];
+            }
+          } else {
+            for (int64_t j = 0; j < x1 - x0; ++j) {
+              dst[j * stride] += src[j];
             }
           }
         }
@@ -264,52 +285,73 @@ Tensor Conv2dBackward(const Tensor& x, const Tensor& w, const Tensor& grad_out,
   GMORPH_CHECK(grad_w.shape() == w.shape());
 
   const int64_t ckk = c * kernel * kernel;
+  const int64_t spatial = oh * ow;
+  // Both gradient GEMMs run the solver their per-sample problem resolves to
+  // (threads = 1: they run inside the loop over the batch), so every element
+  // sums in the order MatmulNT / MatmulTN give it.
+  const kernels::SolverRegistry& registry = kernels::SolverRegistry::Global();
+  // dW_i[o, ckk] = dY_i[o, ohow] * col_i[ckk, ohow]^T
+  kernels::ProblemDesc dw_desc =
+      kernels::GemmProblem(kernels::OpFamily::kGemmNT, o, spatial, ckk);
+  dw_desc.threads = 1;
+  const kernels::GemmSolver* dw_solver = registry.ResolveGemm(dw_desc);
+  // dcol_i[ckk, ohow] = W[o, ckk]^T * dY_i[o, ohow]. Every solver sums a TN
+  // product exactly as the NN product over the explicit transpose, so W^T is
+  // built once per call here rather than once per sample inside the solver.
+  kernels::ProblemDesc dx_desc =
+      kernels::GemmProblem(kernels::OpFamily::kGemmTN, ckk, o, spatial);
+  dx_desc.threads = 1;
+  const kernels::GemmSolver* dx_solver = registry.ResolveGemm(dx_desc);
+  dx_desc.op = kernels::OpFamily::kGemmNN;  // the same solver, over W^T
+
   Tensor grad_x(x.shape());
+  ScratchScope scope;
+  float* wt = scope.AllocFloats(static_cast<size_t>(ckk * o));
+  kernels::Transpose(o, ckk, w.data(), ckk, wt, o);
   // grad_x rows are per-sample disjoint, but grad_w / grad_b accumulate across
-  // the whole batch: each sample's contribution goes into its own slot and is
+  // the whole batch: each sample's contribution overwrites its own slot and is
   // reduced in sample order afterwards, so the result does not depend on how
   // samples were distributed over threads.
-  std::vector<float> partial_w(static_cast<size_t>(n * o * ckk));
-  std::vector<float> partial_b(grad_b.empty() ? 0 : static_cast<size_t>(n * o));
-  ParallelFor(0, n, ItemGrain(o * oh * ow), [&](int64_t lo, int64_t hi) {
-    ScratchScope scope;
-    float* col = scope.AllocFloats(static_cast<size_t>(ckk * oh * ow));
-    float* dcol = scope.AllocFloats(static_cast<size_t>(ckk * oh * ow));
+  float* partial_w = scope.AllocFloats(static_cast<size_t>(n * o * ckk));
+  float* partial_b = grad_b.empty() ? nullptr : scope.AllocFloats(static_cast<size_t>(n * o));
+  ParallelFor(0, n, ItemGrain(o * spatial), [&](int64_t lo, int64_t hi) {
+    ScratchScope worker_scope;
+    float* col = worker_scope.AllocFloats(static_cast<size_t>(ckk * spatial));
+    float* dcol = worker_scope.AllocFloats(static_cast<size_t>(ckk * spatial));
     for (int64_t i = lo; i < hi; ++i) {
       const float* xi = x.data() + i * c * h * wd;
-      const float* dy = grad_out.data() + i * o * oh * ow;
+      const float* dy = grad_out.data() + i * o * spatial;
 
-      Im2Col(xi, c, h, wd, kernel, args.stride, args.padding, oh, ow, col, oh * ow);
-      // dW_i[o, ckk] = dY[o, ohow] * col[ckk, ohow]^T
-      MatmulNT(dy, col, partial_w.data() + i * o * ckk, o, oh * ow, ckk);
-      // dcol[ckk, ohow] = W[o, ckk]^T * dY[o, ohow]
-      MatmulTN(w.data(), dy, dcol, o, ckk, oh * ow);
+      Im2Col(xi, c, h, wd, kernel, args.stride, args.padding, oh, ow, col, spatial);
+      dw_solver->Run(dw_desc, kernels::MakeGemmCall(dw_desc, dy, col, partial_w + i * o * ckk,
+                                                    /*accumulate=*/false));
+      dx_solver->Run(dx_desc, kernels::MakeGemmCall(dx_desc, wt, dy, dcol, /*accumulate=*/false));
       Col2Im(dcol, c, h, wd, kernel, args.stride, args.padding, oh, ow,
              grad_x.data() + i * c * h * wd);
 
-      if (!grad_b.empty()) {
+      if (partial_b != nullptr) {
         for (int64_t oc = 0; oc < o; ++oc) {
-          const float* dyo = dy + oc * oh * ow;
+          const float* dyo = dy + oc * spatial;
           float acc = 0.0f;
-          for (int64_t s = 0; s < oh * ow; ++s) {
+          for (int64_t s = 0; s < spatial; ++s) {
             acc += dyo[s];
           }
-          partial_b[static_cast<size_t>(i * o + oc)] = acc;
+          partial_b[i * o + oc] = acc;
         }
       }
     }
   });
   float* gw = grad_w.data();
   for (int64_t i = 0; i < n; ++i) {
-    const float* pw = partial_w.data() + i * o * ckk;
+    const float* pw = partial_w + i * o * ckk;
     for (int64_t j = 0; j < o * ckk; ++j) {
       gw[j] += pw[j];
     }
   }
-  if (!grad_b.empty()) {
+  if (partial_b != nullptr) {
     for (int64_t i = 0; i < n; ++i) {
       for (int64_t oc = 0; oc < o; ++oc) {
-        grad_b.at(oc) += partial_b[static_cast<size_t>(i * o + oc)];
+        grad_b.at(oc) += partial_b[i * o + oc];
       }
     }
   }

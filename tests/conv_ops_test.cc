@@ -1,6 +1,8 @@
 #include "src/tensor/conv_ops.h"
 
 #include <cstring>
+#include <set>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
 #include "src/common/rng.h"
+#include "src/kernels/registry.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/test_util.h"
 
@@ -229,6 +232,163 @@ TEST(ConvThreadDeterminismTest, BitwiseEqualAcrossThreadCounts) {
   EXPECT_TRUE(bitwise_equal(gx1, gx4));
   EXPECT_TRUE(bitwise_equal(gw1, gw4));
   EXPECT_TRUE(bitwise_equal(gb1, gb4));
+}
+
+// The conv backward as one MatmulNT and one MatmulTN per sample over a
+// per-element im2col, a per-element col2im, and per-sample partials summed
+// in sample order. Conv2dBackward only moves data differently, so it must
+// reproduce these bits exactly.
+void PerSampleGemmConv2dBackward(const Tensor& x, const Tensor& w, const Tensor& grad_out,
+                                 int64_t stride, int64_t padding, Tensor& grad_x,
+                                 Tensor& grad_w, Tensor& grad_b) {
+  const int64_t n = x.shape()[0];
+  const int64_t c = x.shape()[1];
+  const int64_t h = x.shape()[2];
+  const int64_t wd = x.shape()[3];
+  const int64_t o = w.shape()[0];
+  const int64_t k = w.shape()[2];
+  const int64_t oh = grad_out.shape()[2];
+  const int64_t ow = grad_out.shape()[3];
+  const int64_t ckk = c * k * k;
+  const int64_t spatial = oh * ow;
+  // The GEMMs resolve as they would inside the conv's loop over the batch.
+  ParallelRegionGuard serial;
+  std::vector<float> col(static_cast<size_t>(ckk * spatial));
+  std::vector<float> dcol(col.size());
+  std::vector<float> partial_w(static_cast<size_t>(n * o * ckk));
+  std::vector<float> partial_b(static_cast<size_t>(n * o));
+  for (int64_t i = 0; i < n; ++i) {
+    const float* xi = x.data() + i * c * h * wd;
+    const float* dy = grad_out.data() + i * o * spatial;
+    for (int64_t r = 0; r < ckk; ++r) {
+      const int64_t ch = r / (k * k);
+      const int64_t ky = r / k % k;
+      const int64_t kx = r % k;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const int64_t iy = oy * stride + ky - padding;
+          const int64_t ix = ox * stride + kx - padding;
+          const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < wd;
+          col[static_cast<size_t>(r * spatial + oy * ow + ox)] =
+              inside ? xi[(ch * h + iy) * wd + ix] : 0.0f;
+        }
+      }
+    }
+    MatmulNT(dy, col.data(), partial_w.data() + i * o * ckk, o, spatial, ckk);
+    MatmulTN(w.data(), dy, dcol.data(), o, ckk, spatial);
+    float* gx = grad_x.data() + i * c * h * wd;
+    for (int64_t r = 0; r < ckk; ++r) {
+      const int64_t ch = r / (k * k);
+      const int64_t ky = r / k % k;
+      const int64_t kx = r % k;
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        const int64_t iy = oy * stride + ky - padding;
+        if (iy < 0 || iy >= h) {
+          continue;
+        }
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          const int64_t ix = ox * stride + kx - padding;
+          if (ix >= 0 && ix < wd) {
+            gx[(ch * h + iy) * wd + ix] += dcol[static_cast<size_t>(r * spatial + oy * ow + ox)];
+          }
+        }
+      }
+    }
+    for (int64_t oc = 0; oc < o; ++oc) {
+      float acc = 0.0f;
+      for (int64_t s = 0; s < spatial; ++s) {
+        acc += dy[oc * spatial + s];
+      }
+      partial_b[static_cast<size_t>(i * o + oc)] = acc;
+    }
+  }
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < o * ckk; ++j) {
+      grad_w.at(j) += partial_w[static_cast<size_t>(i * o * ckk + j)];
+    }
+  }
+  if (!grad_b.empty()) {
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t oc = 0; oc < o; ++oc) {
+        grad_b.at(oc) += partial_b[static_cast<size_t>(i * o + oc)];
+      }
+    }
+  }
+}
+
+// Conv2dBackward's training arithmetic is pinned bit for bit: each gradient
+// GEMM runs the solver its per-sample problem resolves to, and packing,
+// transposes, col2im and the partial buffers only move data. The grid spans
+// kernels 1, 3 and 8, strides 1, 2 and 8, padding 0 and 1, output widths 1 to
+// 32, 1 to 64 channels and batches 1 to 32, so the per-sample products land
+// on every solver: gemm.ref, gemm.dot (the narrow 4x4 and 2x2 input
+// gradients), gemm.direct, and gemm.packed (8->8 at 32x32 has an NT weight
+// gradient with K = 1,024, four 256-deep blocks).
+TEST(ConvPropertyTest, BackwardBitwiseMatchesPerSampleGemms) {
+  struct Case {
+    int64_t n, c, hw, o, kernel, stride, padding, ow;
+    bool bias;
+  };
+  const Case cases[] = {
+      {1, 1, 1, 1, 1, 1, 0, 1, true},      {3, 3, 32, 4, 3, 1, 1, 32, true},
+      {16, 4, 32, 4, 3, 1, 1, 32, true},   {3, 8, 32, 8, 3, 1, 1, 32, false},
+      {16, 16, 4, 32, 3, 1, 1, 4, true},   {32, 32, 2, 32, 3, 1, 1, 2, true},
+      {3, 64, 4, 64, 3, 1, 1, 4, false},   {16, 3, 32, 32, 8, 8, 0, 4, true},
+      {3, 5, 64, 7, 8, 8, 0, 8, false},    {1, 2, 16, 3, 3, 2, 1, 8, true},
+      {3, 6, 31, 5, 1, 2, 0, 16, false},   {32, 1, 18, 2, 3, 1, 0, 16, true},
+      {16, 8, 8, 16, 3, 1, 1, 8, true},    {3, 64, 1, 1, 3, 1, 1, 1, false},
+      {1, 1, 2, 64, 1, 1, 0, 2, true},     {3, 4, 8, 4, 8, 1, 0, 1, true},
+      {3, 4, 9, 6, 8, 1, 1, 4, false},     {1, 3, 64, 16, 3, 2, 1, 32, true},
+      {32, 2, 4, 3, 1, 1, 0, 4, false},    {3, 16, 16, 32, 3, 2, 1, 8, true},
+      {16, 32, 8, 32, 3, 1, 1, 8, false},  {3, 1, 33, 8, 3, 2, 0, 16, true},
+  };
+  Rng rng(4242);
+  std::set<std::string> nt_solvers;
+  std::set<std::string> tn_solvers;
+  for (const Case& t : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "n=" << t.n << " c=" << t.c << " hw=" << t.hw << " o=" << t.o
+                 << " k=" << t.kernel << " s=" << t.stride << " p=" << t.padding
+                 << " bias=" << t.bias);
+    ASSERT_EQ(ConvOutDim(t.hw, t.kernel, t.stride, t.padding), t.ow);
+    const int64_t ckk = t.c * t.kernel * t.kernel;
+    const kernels::SolverRegistry& registry = kernels::SolverRegistry::Global();
+    nt_solvers.insert(registry
+                          .HeuristicGemm(kernels::GemmProblem(kernels::OpFamily::kGemmNT, t.o,
+                                                              t.ow * t.ow, ckk))
+                          ->name());
+    tn_solvers.insert(registry
+                          .HeuristicGemm(kernels::GemmProblem(kernels::OpFamily::kGemmTN, ckk,
+                                                              t.o, t.ow * t.ow))
+                          ->name());
+    Tensor x = Tensor::RandomGaussian(Shape{t.n, t.c, t.hw, t.hw}, rng);
+    Tensor w = Tensor::RandomGaussian(Shape{t.o, t.c, t.kernel, t.kernel}, rng);
+    Tensor grad_out = Tensor::RandomGaussian(Shape{t.n, t.o, t.ow, t.ow}, rng);
+    const Tensor gw0 = Tensor::RandomGaussian(w.shape(), rng);
+    const Tensor gb0 = t.bias ? Tensor::RandomGaussian(Shape{t.o}, rng) : Tensor();
+
+    Tensor grad_w = gw0.Clone();
+    Tensor grad_b = gb0.Clone();
+    const Tensor grad_x =
+        Conv2dBackward(x, w, grad_out, Conv2dArgs{t.stride, t.padding}, grad_w, grad_b);
+
+    Tensor want_x = Tensor::Zeros(x.shape());
+    Tensor want_w = gw0.Clone();
+    Tensor want_b = gb0.Clone();
+    PerSampleGemmConv2dBackward(x, w, grad_out, t.stride, t.padding, want_x, want_w, want_b);
+
+    const auto bitwise_equal = [](const Tensor& a, const Tensor& b) {
+      return a.size() == b.size() &&
+             (a.empty() || std::memcmp(a.data(), b.data(),
+                                       static_cast<size_t>(a.size()) * sizeof(float)) == 0);
+    };
+    EXPECT_TRUE(bitwise_equal(grad_x, want_x));
+    EXPECT_TRUE(bitwise_equal(grad_w, want_w));
+    EXPECT_TRUE(bitwise_equal(grad_b, want_b));
+  }
+  const std::set<std::string> all = {"gemm.ref", "gemm.dot", "gemm.direct", "gemm.packed"};
+  EXPECT_EQ(nt_solvers, all);
+  EXPECT_EQ(tn_solvers, all);
 }
 
 TEST(MaxPoolTest, SelectsWindowMaxima) {

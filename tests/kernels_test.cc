@@ -169,6 +169,89 @@ TEST(GemmSolverPropertyTest, DirectAndPackedBitwiseEqualForKWithinOneBlock) {
   }
 }
 
+// The NT and TN layouts only move data: for gemm.direct, gemm.packed and
+// gemm.dot an NT product equals the NN product over an explicitly
+// transposed B, and for every solver a TN product equals the NN product over
+// an explicitly transposed A, bit for bit. Shapes reach past one 256-deep
+// packing block, across the 8 x 8 transpose tiles' edges, and below the
+// 24-column cut where the direct and packed paths still run when pinned.
+TEST(GemmSolverPropertyTest, LayoutsBitwiseEqualExplicitTranspose) {
+  Rng rng(77);
+  const SolverRegistry& registry = SolverRegistry::Global();
+  std::vector<GemmCase> cases = {{4, 1024, 36}, {8, 1024, 72}, {288, 32, 16}, {1, 300, 1},
+                                 {7, 9, 5}};
+  for (int i = 0; i < 8; ++i) {
+    cases.push_back({1 + static_cast<int64_t>(rng.NextU64() % 100),
+                     1 + static_cast<int64_t>(rng.NextU64() % (i < 3 ? 700 : 100)),
+                     1 + static_cast<int64_t>(rng.NextU64() % 100)});
+  }
+  for (const GemmCase& c : cases) {
+    std::vector<float> a(static_cast<size_t>(c.m * c.k));
+    std::vector<float> b(static_cast<size_t>(c.k * c.n));
+    std::vector<float> c_init(static_cast<size_t>(c.m * c.n));
+    FillRandom(a, rng);
+    FillRandom(b, rng);
+    FillRandom(c_init, rng);
+    // NT reads B stored N x K; TN reads A stored K x M.
+    const auto transposed = [](const std::vector<float>& v, int64_t rows, int64_t cols) {
+      std::vector<float> t(v.size());
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t col = 0; col < cols; ++col) {
+          t[static_cast<size_t>(col * rows + r)] = v[static_cast<size_t>(r * cols + col)];
+        }
+      }
+      return t;
+    };
+    const std::vector<float> bt = transposed(b, c.k, c.n);
+    const std::vector<float> at = transposed(a, c.m, c.k);
+    const ProblemDesc nn = kernels::GemmProblem(OpFamily::kGemmNN, c.m, c.k, c.n);
+    const ProblemDesc nt = kernels::GemmProblem(OpFamily::kGemmNT, c.m, c.k, c.n);
+    const ProblemDesc tn = kernels::GemmProblem(OpFamily::kGemmTN, c.m, c.k, c.n);
+    for (const char* name : {"gemm.ref", "gemm.direct", "gemm.packed", "gemm.dot"}) {
+      const GemmSolver* solver = registry.FindGemm(name);
+      ASSERT_NE(solver, nullptr) << name;
+      for (bool accumulate : {false, true}) {
+        std::vector<float> want = c_init;
+        solver->Run(nn, MakeGemmCall(nn, a.data(), b.data(), want.data(), accumulate));
+        if (solver->IsApplicable(nt) && std::string(name) != "gemm.ref") {
+          std::vector<float> got = c_init;
+          solver->Run(nt, MakeGemmCall(nt, a.data(), bt.data(), got.data(), accumulate));
+          EXPECT_EQ(got, want) << name << " " << ProblemKey(nt) << " accumulate=" << accumulate;
+        }
+        std::vector<float> got = c_init;
+        solver->Run(tn, MakeGemmCall(tn, at.data(), b.data(), got.data(), accumulate));
+        EXPECT_EQ(got, want) << name << " " << ProblemKey(tn) << " accumulate=" << accumulate;
+      }
+    }
+  }
+}
+
+// Transpose against the index formula, over sizes on and off the 8 x 8 tile
+// grid and with leading dimensions wider than the copied block.
+TEST(GemmSolverPropertyTest, TransposeMatchesIndexFormula) {
+  Rng rng(88);
+  for (const auto& [rows, cols] : std::vector<std::pair<int64_t, int64_t>>{
+           {1, 1}, {8, 8}, {7, 9}, {16, 40}, {33, 5}, {36, 1024}}) {
+    const int64_t lds = cols + 3;
+    const int64_t ldd = rows + 5;
+    std::vector<float> src(static_cast<size_t>(rows * lds));
+    FillRandom(src, rng);
+    std::vector<float> dst(static_cast<size_t>(cols * ldd), -7.0f);
+    kernels::Transpose(rows, cols, src.data(), lds, dst.data(), ldd);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int64_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(dst[static_cast<size_t>(c * ldd + r)], src[static_cast<size_t>(r * lds + c)])
+            << rows << "x" << cols << " at " << r << "," << c;
+      }
+    }
+    for (int64_t c = 0; c < cols; ++c) {
+      for (int64_t r = rows; r < ldd; ++r) {
+        ASSERT_EQ(dst[static_cast<size_t>(c * ldd + r)], -7.0f) << "wrote past the block";
+      }
+    }
+  }
+}
+
 TEST(PoolSolverTest, AllSolversBitwiseMatchGeneric) {
   Rng rng(555);
   const SolverRegistry& registry = SolverRegistry::Global();
