@@ -5,7 +5,8 @@
 //   {"op": ..., "shape": ..., "gflops": ..., "ref_gflops": ..., "speedup": ...,
 //    "bytes_per_op": ...}
 // gflops is the blocked/parallel kernel, ref_gflops the retained naive
-// reference at the same shape (GEMM only), bytes_per_op the heap bytes newly
+// reference at the same shape (GEMM; for the conv_narrow_* lines, the
+// per-sample conv path), bytes_per_op the heap bytes newly
 // allocated per iteration in steady state (tensor storage + scratch-arena
 // growth) — ops whose workspace comes from the reused arena report only their
 // output tensor.
@@ -19,8 +20,8 @@
 // both (`traffic_bytes` / `f32_traffic_bytes` / `traffic_ratio`), so the JSON
 // shows the bandwidth win as well as GFLOP/s. The qconv_* lines time a whole
 // batch-1 int8 conv (quantize, tap-word im2col, the resolved conv solver,
-// dequant epilogue) against the f32 conv at the same B1 shape, naming the
-// solver that ran.
+// dequant epilogue) against the f32 path the fused engine runs at the same B1
+// shape, naming the solver that ran.
 //
 // --sweep-solvers switches to the solver-registry sweep: every registered
 // GEMM solver is benchmarked (autotuner timing path) on each model shape for
@@ -145,6 +146,32 @@ void BenchConv(Rng& rng, const char* name, int64_t batch, int64_t c, int64_t hw,
   PrintLine(std::string("conv_bwd_") + name, shape, 2.0 * fwd_flops, bwd, nullptr);
 }
 
+// The fused engine's narrow-conv path (one pixels x channels GEMM over the
+// batch, NarrowConv2dForwardInto) at a B1 shape with a 3x3/pad-1 kernel,
+// against the per-sample W·col conv (Conv2dForwardInto, which training runs)
+// as the reference.
+void BenchNarrowConv(Rng& rng, const char* name, int64_t batch, int64_t c, int64_t hw,
+                     int64_t o) {
+  Conv2dArgs args;
+  args.padding = 1;
+  Tensor x = Tensor::RandomGaussian(Shape{batch, c, hw, hw}, rng);
+  Tensor w = Tensor::RandomGaussian(Shape{o, c, 3, 3}, rng, 0.1f);
+  Tensor wt(Shape{c * 9, o});
+  kernels::Transpose(o, c * 9, w.data(), c * 9, wt.data(), o);
+  Tensor b = Tensor::Zeros(Shape{o});
+  Tensor out(Shape{batch, o, hw, hw});
+  BenchResult narrow =
+      Run([&] { NarrowConv2dForwardInto(x, wt, 3, b, args, out, nullptr, true); });
+  BenchResult per_sample = Run([&] { Conv2dForwardInto(x, w, b, args, out, nullptr, true); });
+  char shape[96];
+  std::snprintf(shape, sizeof(shape), "n%lld c%lld %lldx%lld o%lld k3",
+                static_cast<long long>(batch), static_cast<long long>(c),
+                static_cast<long long>(hw), static_cast<long long>(hw),
+                static_cast<long long>(o));
+  PrintLine(std::string("conv_narrow_") + name, shape, 2.0 * batch * o * c * 9 * hw * hw, narrow,
+            &per_sample);
+}
+
 void BenchAttention(Rng& rng, int64_t batch, int64_t t, int64_t dim, int64_t heads) {
   MultiHeadSelfAttention attn(dim, heads, rng);
   Tensor x = Tensor::RandomGaussian(Shape{batch, t, dim}, rng);
@@ -166,6 +193,9 @@ struct GemmShape {
 constexpr GemmShape kGemmShapes[] = {
     {"sq256", 256, 256, 256},  {"vit_qkv", 17, 32, 96},  {"vit_mlp", 17, 32, 64},
     {"vgg_c1", 8, 27, 1024},   {"vgg_c3", 16, 72, 256},  {"vgg_c8", 64, 288, 16},
+    // B1's 64->64 conv at 4x4 as the fused engine runs it at batch 1:
+    // pixels x (C*KH*KW) x channels.
+    {"vgg_c8t", 16, 576, 64},
 };
 
 // Int8 u8·s8 -> s32 GEMM against the f32 packed solver at the same shape
@@ -224,7 +254,8 @@ void BenchQGemm(Rng& rng, const char* name, int64_t m, int64_t k, int64_t n) {
                           .Set("bytes_per_op", q.bytes_per_iter));
 }
 
-// One batch-1 3x3/stride-1/pad-1 conv of B1, int8 against f32.
+// One batch-1 3x3/stride-1/pad-1 conv of B1, int8 against the f32 path the
+// fused engine runs for it (NarrowConv2dForwardInto below kWideMinN pixels).
 void BenchQConv(Rng& rng, const char* name, int64_t c, int64_t hw, int64_t o) {
   Conv2dArgs args;
   args.padding = 1;
@@ -239,7 +270,16 @@ void BenchQConv(Rng& rng, const char* name, int64_t c, int64_t hw, int64_t o) {
                              quant::RowAbsMaxScales(w.data(), o, c * 9), hw, hw);
   const kernels::QGemmSolver* solver = kernels::SolverRegistry::Global().ResolveQGemm(qw.gemm);
   BenchResult q = Run([&] { quant::QConv2dForwardInto(x, qw, args, out, nullptr, true, solver); });
-  BenchResult f32 = Run([&] { Conv2dForwardInto(x, w, b, args, out, nullptr, true); });
+  Tensor wt(Shape{c * 9, o});
+  kernels::Transpose(o, c * 9, w.data(), c * 9, wt.data(), o);
+  const bool narrow = hw * hw < kernels::kWideMinN;
+  BenchResult f32 = Run([&] {
+    if (narrow) {
+      NarrowConv2dForwardInto(x, wt, 3, b, args, out, nullptr, true);
+    } else {
+      Conv2dForwardInto(x, w, b, args, out, nullptr, true);
+    }
+  });
   const double flops = 2.0 * o * c * 9 * hw * hw;
   const double gf = flops / q.seconds_per_iter / 1e9;
   const double f32_gf = flops / f32.seconds_per_iter / 1e9;
@@ -322,6 +362,13 @@ void Main(const std::string& dtype_filter) {
     // at base width 4, batch 16): 4->4 at 32x32 and 32->32 at 4x4.
     BenchConv(rng, "vgg13_c2", 16, 4, 32, 4, 3, 1, 1);
     BenchConv(rng, "vgg13_c8", 16, 32, 4, 32, 3, 1, 1);
+    // infer-b1's narrow convs, at batch 1 and 8.
+    for (const int64_t batch : {1, 8}) {
+      const std::string n = "_n" + std::to_string(batch);
+      BenchNarrowConv(rng, ("c32_4x4" + n).c_str(), batch, 32, 4, 64);
+      BenchNarrowConv(rng, ("c64_4x4" + n).c_str(), batch, 64, 4, 64);
+      BenchNarrowConv(rng, ("c64_2x2" + n).c_str(), batch, 64, 2, 64);
+    }
 
     BenchAttention(rng, 8, 17, 32, 4);
   }

@@ -54,12 +54,11 @@ void Transpose8x8(const float* src, int64_t lds, float* dst, int64_t ldd) {
 }
 #endif
 
-// Register tile of the wide-N micro-kernel: MR x 32 accumulators held in
-// registers; the j-loop over kNR auto-vectorizes (no branches, restrict
-// pointers, fixed trip count).
+// Register tile of the wide-N micro-kernels: MR x 32 accumulators held in
+// registers.
 constexpr int64_t kNR = 32;
 constexpr int64_t kPackMR = 6;  // packed path: panels are zero-padded to kPackMR
-// Direct path: 8-row tiles (16 accumulator vectors on 8-wide FMA units), then
+// Direct path: 8-row tiles (16 zmm accumulators on AVX-512 builds), then
 // 4-row, then single-row for the tail.
 constexpr int64_t kDirectMR = 8;
 // Cache blocking for the packed path.
@@ -71,6 +70,12 @@ constexpr int64_t kNC = 1024;
 constexpr int64_t kLanes = 16;
 constexpr int64_t kJB = 4;
 constexpr int64_t kRowGrain = 16;  // ParallelFor grain over output rows
+// The direct path widens its row chunks until each carries this many flops,
+// about 45 us on one Sapphire Rapids core. On a shared 4-vCPU KVM guest a
+// 4-chunk ParallelFor cost the caller 70-115 us when its workers were parked,
+// and far longer while the host was busy, so smaller chunks lose to one
+// thread.
+constexpr int64_t kDirectMinChunkFlops = int64_t{1} << 22;
 // The direct solver materializes a row-major B for the NT layout; past this
 // many scratch floats the packed path is strictly better, so the solver
 // declares itself inapplicable rather than thrash the arena.
@@ -86,12 +91,87 @@ bool IsGemmFamily(const ProblemDesc& desc) {
 
 // ---- Direct (unpacked) wide path -----------------------------------------
 
-// MR rows x kNR cols; A is read through scalar broadcasts so any strides work,
-// B rows must be contiguous (cs == 1).
+// MR rows x nr <= kNR cols of C; A is read through scalar broadcasts so any
+// strides work, B rows must be contiguous (cs == 1). Each element sums its k
+// products in order from zero (one FMA each under -ffp-contract=fast), then
+// is stored or added to C, whatever the tile height and the column count.
+#if defined(__AVX512F__)
+// Two zmm accumulators per row, 16 at MR = 8, with intrinsics: on recent
+// Intel cores GCC prefers 256-bit vectors, and the portable loop below then
+// keeps 32 ymm accumulators and spills 5 of them on every k step. Here the k
+// loop touches no stack memory. A column tail (nr < kNR) masks its lanes.
+static_assert(kNR == 32, "the zmm tile holds two 16-float vectors per row");
 template <int MR>
 void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t acs,
                 const float* GMORPH_RESTRICT b, int64_t ldb, float* GMORPH_RESTRICT c,
-                int64_t ldc, bool accumulate) {
+                int64_t ldc, int64_t nr, bool accumulate) {
+  const __mmask16 lo = _cvtu32_mask16(nr >= 16 ? 0xFFFFu : (1u << nr) - 1u);
+  const __mmask16 hi = _cvtu32_mask16(nr >= kNR ? 0xFFFFu : nr > 16 ? (1u << (nr - 16)) - 1u : 0u);
+  __m512 acc[MR][2];
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    acc[r][0] = _mm512_setzero_ps();
+    acc[r][1] = _mm512_setzero_ps();
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    const __m512 b0 = _mm512_maskz_loadu_ps(lo, b + p * ldb);
+    const __m512 b1 = _mm512_maskz_loadu_ps(hi, b + p * ldb + 16);
+  #pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * ars + p * acs]);
+      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+    }
+  }
+  if (accumulate) {
+  #pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+      acc[r][0] = _mm512_add_ps(_mm512_maskz_loadu_ps(lo, c + r * ldc), acc[r][0]);
+      acc[r][1] = _mm512_add_ps(_mm512_maskz_loadu_ps(hi, c + r * ldc + 16), acc[r][1]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < MR; ++r) {
+    _mm512_mask_storeu_ps(c + r * ldc, lo, acc[r][0]);
+    _mm512_mask_storeu_ps(c + r * ldc + 16, hi, acc[r][1]);
+  }
+}
+#else
+// One row of a column tail (nr < kNR), with a runtime-bound j loop.
+void DirectRowStrip(int64_t k, const float* a, int64_t acs, const float* b, int64_t ldb,
+                    int64_t nr, float* c, bool accumulate) {
+  float acc[kNR];
+  std::memset(acc, 0, sizeof(acc));
+  for (int64_t p = 0; p < k; ++p) {
+    const float av = a[p * acs];
+    const float* bp = b + p * ldb;
+    for (int64_t j = 0; j < nr; ++j) {
+      acc[j] += av * bp[j];
+    }
+  }
+  if (accumulate) {
+    for (int64_t j = 0; j < nr; ++j) {
+      c[j] += acc[j];
+    }
+  } else {
+    for (int64_t j = 0; j < nr; ++j) {
+      c[j] = acc[j];
+    }
+  }
+}
+
+// Full strips: the j loop over kNR auto-vectorizes (no branches, restrict
+// pointers, fixed trip count). A column tail runs row by row.
+template <int MR>
+void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t acs,
+                const float* GMORPH_RESTRICT b, int64_t ldb, float* GMORPH_RESTRICT c,
+                int64_t ldc, int64_t nr, bool accumulate) {
+  if (nr < kNR) {
+    for (int r = 0; r < MR; ++r) {
+      DirectRowStrip(k, a + r * ars, acs, b, ldb, nr, c + r * ldc, accumulate);
+    }
+    return;
+  }
   float acc[MR * kNR];
   std::memset(acc, 0, sizeof(acc));
   for (int64_t p = 0; p < k; ++p) {
@@ -118,54 +198,32 @@ void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t 
     }
   }
 }
-
-// Column tail (nr < kNR), one row at a time with a runtime-bound j loop.
-void DirectRowStrip(int64_t k, const float* a, int64_t ars, int64_t acs, const float* b,
-                    int64_t ldb, int64_t jr, int64_t nr, float* c, bool accumulate) {
-  float acc[kNR];
-  std::memset(acc, 0, sizeof(acc));
-  for (int64_t p = 0; p < k; ++p) {
-    const float av = a[ars * 0 + p * acs];
-    const float* bp = b + p * ldb + jr;
-    for (int64_t j = 0; j < nr; ++j) {
-      acc[j] += av * bp[j];
-    }
-  }
-  float* cr = c + jr;
-  if (accumulate) {
-    for (int64_t j = 0; j < nr; ++j) {
-      cr[j] += acc[j];
-    }
-  } else {
-    for (int64_t j = 0; j < nr; ++j) {
-      cr[j] = acc[j];
-    }
-  }
-}
+#endif
 
 // C[M,N] over a B whose rows are contiguous; no packing, so only worthwhile
 // when the working set is cache-resident.
 void GemmWideDirect(int64_t m, int64_t k, int64_t n, const MatView& a, const float* b,
                     int64_t ldb, float* c, bool accumulate) {
-  ParallelFor(0, m, kRowGrain, [&](int64_t row_lo, int64_t row_hi) {
-    const int64_t n_full = n - n % kNR;
-    for (int64_t jr = 0; jr < n_full; jr += kNR) {
+  // Whole 8-row tiles per chunk; the tile height never changes an element's
+  // sum, so neither does the grain.
+  const int64_t row_flops = std::max<int64_t>(1, 2 * k * n);
+  const int64_t min_rows = (kDirectMinChunkFlops + row_flops - 1) / row_flops;
+  const int64_t grain = std::max(kRowGrain, (min_rows + kDirectMR - 1) / kDirectMR * kDirectMR);
+  ParallelFor(0, m, grain, [&](int64_t row_lo, int64_t row_hi) {
+    for (int64_t jr = 0; jr < n; jr += kNR) {
+      const int64_t nr = std::min(kNR, n - jr);
       int64_t ir = row_lo;
       for (; ir + kDirectMR <= row_hi; ir += kDirectMR) {
-        DirectTile<kDirectMR>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n,
+        DirectTile<kDirectMR>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
                               accumulate);
       }
       for (; ir + 4 <= row_hi; ir += 4) {
-        DirectTile<4>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, accumulate);
+        DirectTile<4>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
+                      accumulate);
       }
       for (; ir < row_hi; ++ir) {
-        DirectTile<1>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, accumulate);
-      }
-    }
-    if (n_full < n) {
-      for (int64_t ir = row_lo; ir < row_hi; ++ir) {
-        DirectRowStrip(k, a.at(ir, 0), a.rs, a.cs, b, ldb, n_full, n - n_full, c + ir * n,
-                       accumulate);
+        DirectTile<1>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
+                      accumulate);
       }
     }
   });

@@ -16,8 +16,9 @@ namespace gmorph::kernels {
 
 // Narrowest N the wide micro-kernels (gemm.direct, gemm.packed) are picked
 // for: each register tile spans a 32-column strip. Narrower products run the
-// dot path, so the fused engine folds a conv's batch into one GEMM when its
-// per-sample width is below this.
+// dot path. An f32 conv whose OH*OW is below this therefore puts its output
+// channels on the columns instead (kernels::ConvProblem: n = O), and the
+// fused engine runs it as one GEMM over the batch's pixels.
 inline constexpr int64_t kWideMinN = 24;
 
 class SolverRegistry {

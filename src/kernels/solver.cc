@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
+#include "src/kernels/registry.h"
 
 namespace gmorph::kernels {
 
@@ -114,15 +115,13 @@ ProblemDesc ConvProblem(DType dtype, int64_t out_channels, int64_t ckk, int64_t 
   desc.k = ckk;
   desc.threads = 1;
   const int64_t spatial = oh * ow;
-  if (dtype == DType::kInt8 && spatial < kQConvPixelsMinSpatial) {
-    desc.op = OpFamily::kQConvChannels;
-    desc.m = spatial;
-    desc.n = out_channels;
-  } else {
-    desc.op = dtype == DType::kInt8 ? OpFamily::kQConvPixels : OpFamily::kGemmNN;
-    desc.m = out_channels;
-    desc.n = spatial;
+  const bool channel_cols =
+      spatial < (dtype == DType::kInt8 ? kQConvPixelsMinSpatial : kWideMinN);
+  if (dtype == DType::kInt8) {
+    desc.op = channel_cols ? OpFamily::kQConvChannels : OpFamily::kQConvPixels;
   }
+  desc.m = channel_cols ? spatial : out_channels;
+  desc.n = channel_cols ? out_channels : spatial;
   return desc;
 }
 

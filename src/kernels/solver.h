@@ -117,12 +117,18 @@ ProblemDesc QGemmProblem(int64_t m, int64_t k, int64_t n);
 // 16 lanes and take 2.4 us against 0.6 us; at 4x4 the whole conv steps are
 // within 10% either way; from 8x8 up pixel lanes win (7.0 against 9.5 us).
 inline constexpr int64_t kQConvPixelsMinSpatial = 64;
-// The per-sample GEMM of a conv with `out_channels` filters over `ckk` =
-// C*KH*KW taps and an oh x ow output, at threads = 1 (it runs inside the
-// loop over the batch). The one place that maps a conv to a descriptor:
-// f32 runs W[O, ckk] · col[ckk, OH*OW] (kGemmNN, m = O, n = OH*OW); int8
-// runs kQConvPixels when OH*OW >= kQConvPixelsMinSpatial, else
-// kQConvChannels. The fused engine's batch folding widens an f32 n on top.
+// The GEMM of one sample of a conv with `out_channels` filters over `ckk` =
+// C*KH*KW taps and an oh x ow output, at threads = 1. The one place that maps
+// a conv to a descriptor; the fused engine, the tuner and the plan linter all
+// call it.
+//   - f32, OH*OW >= kWideMinN: W[O, ckk] · col[ckk, OH*OW] (kGemmNN, m = O,
+//     n = OH*OW), one GEMM per sample inside the loop over the batch.
+//   - f32, narrower outputs: output pixels are the rows and output channels
+//     the columns, im2row[OH*OW, ckk] · Wᵀ[ckk, O] (kGemmNN, m = OH*OW,
+//     n = O), so n does not shrink with the image. The fused engine runs one
+//     such GEMM over the whole batch (m = batch*OH*OW, NarrowConv2dForwardInto).
+//   - int8: kQConvPixels when OH*OW >= kQConvPixelsMinSpatial, else
+//     kQConvChannels, per sample.
 ProblemDesc ConvProblem(DType dtype, int64_t out_channels, int64_t ckk, int64_t oh, int64_t ow);
 // Byte sizes of an int8 problem's operands in its family's layout: the u8
 // activation operand and the s8 weight operand, padded as QGemmCall says.

@@ -178,6 +178,17 @@ void FusedEngine::LowerNode(int node_id, int group) {
   // Appends `s` as one of this node's steps, writing a fresh value of
   // `shape`; returns that value.
   const auto emit = [&](Step s, const Shape& shape) {
+    s.weight_shape = s.weight.shape();
+    if (s.kind == OpKind::kConv && shape[1] * shape[2] < kernels::kWideMinN) {
+      // A narrow conv runs pixels x channels (kernels::ConvProblem), with W^T
+      // as the GEMM's B operand: transpose once here and keep only W^T.
+      const int64_t o = s.weight_shape[0];
+      const int64_t ckk = s.weight.size() / o;
+      Tensor wt(Shape{ckk, o});
+      kernels::Transpose(o, ckk, s.weight.data(), ckk, wt.data(), o);
+      s.weight = std::move(wt);
+      s.narrow = true;
+    }
     s.node = node_id;
     s.group = group;
     s.out = NewValue(shape, group);
@@ -526,12 +537,12 @@ bool FusedEngine::StepProblemDesc(const Step& step, int64_t batch,
                                   kernels::ProblemDesc* desc) const {
   switch (step.kind) {
     case OpKind::kConv: {
-      // The per-sample im2col GEMM (kernels::ConvProblem), which runs inside
-      // the per-batch ParallelFor, i.e. in the serial nested regime. When an
-      // f32 conv's OH*OW is too narrow for the wide micro-kernels, a batch > 1
-      // folds into one GEMM over [C*KH*KW, batch*OH*OW] that runs outside
-      // that loop. Int8 convs stay per sample.
-      const Shape& w = step.weight.shape();
+      // The conv's GEMM (kernels::ConvProblem). Wide f32 convs and every
+      // int8 conv run it per sample inside the per-batch ParallelFor, i.e. in
+      // the serial nested regime. A narrow f32 conv runs one pixels x
+      // channels GEMM over the whole batch, m = batch*OH*OW, outside that
+      // loop.
+      const Shape& w = step.weight_shape;
       const Shape& out = values_[static_cast<size_t>(step.out)].shape;
       if (w.Rank() != 4 || out.Rank() != 3) {
         return false;
@@ -539,9 +550,8 @@ bool FusedEngine::StepProblemDesc(const Step& step, int64_t batch,
       *desc = kernels::ConvProblem(
           step.qconv != nullptr ? kernels::DType::kInt8 : kernels::DType::kF32, w[0],
           w[1] * w[2] * w[3], out[1], out[2]);
-      const int64_t spatial = out[1] * out[2];
-      if (step.qconv == nullptr && batch > 1 && spatial < kernels::kWideMinN) {
-        desc->n = batch * spatial;
+      if (step.narrow && step.qconv == nullptr) {
+        desc->m *= batch;
         desc->threads = GroupThreads(step.group);
       }
       return true;
@@ -607,10 +617,6 @@ FusedEngine::Pin FusedEngine::PinStep(const Step& step, int64_t batch) const {
     pin.qgemm = registry.ResolveQGemm(desc);
   } else {
     pin.gemm = registry.ResolveGemm(desc);
-    if (step.kind == OpKind::kConv) {
-      const Shape& out = values_[static_cast<size_t>(step.out)].shape;
-      pin.fold_batch = desc.n != out[1] * out[2];
-    }
   }
   return pin;
 }
@@ -661,15 +667,17 @@ quant::QuantRecipe FusedEngine::Calibrate(const std::vector<Tensor>& batches) {
     spec.seq = static_cast<int64_t>(s);
     spec.label = step.label;
     spec.in_q = quant::ActQuantFromRange(*range);
-    const Shape& w = step.weight.shape();
+    const Shape& w = step.weight_shape;
     if (step.kind == OpKind::kConv) {
       if (w.Rank() != 4) {
         continue;
       }
       spec.kind = "conv";
       // Conv weights are (O, C, KH, KW): one contiguous row of C*KH*KW taps
-      // per output channel.
-      spec.w_scales = quant::RowAbsMaxScales(step.weight.data(), w[0], w[1] * w[2] * w[3]);
+      // per output channel, or one column of W^T for a narrow conv.
+      const int64_t ckk = w[1] * w[2] * w[3];
+      spec.w_scales = step.narrow ? quant::ColAbsMaxScales(step.weight.data(), ckk, w[0])
+                                  : quant::RowAbsMaxScales(step.weight.data(), w[0], ckk);
     } else {
       if (w.Rank() != 2) {
         continue;
@@ -690,12 +698,20 @@ int FusedEngine::Quantize(const quant::QuantRecipe& recipe) {
       continue;
     }
     Step& step = steps_[static_cast<size_t>(spec.seq)];
-    const Shape& w = step.weight.shape();
+    const Shape& w = step.weight_shape;
     if (step.kind == OpKind::kConv && spec.kind == "conv" && w.Rank() == 4 &&
         static_cast<int64_t>(spec.w_scales.size()) == w[0]) {
       const Shape& out = values_[static_cast<size_t>(step.out)].shape;
+      // PackConvWeights reads W (O, C, KH, KW): a narrow conv's W^T is
+      // transposed back into a temporary.
+      Tensor w_rows = step.weight;
+      if (step.narrow) {
+        const int64_t ckk = step.weight.shape()[0];
+        w_rows = Tensor(w);
+        kernels::Transpose(ckk, w[0], step.weight.data(), w[0], w_rows.data(), ckk);
+      }
       step.qconv = std::make_unique<quant::QConvWeights>(quant::PackConvWeights(
-          step.weight, step.bias, spec.in_q, spec.w_scales, out[1], out[2]));
+          w_rows, step.bias, spec.in_q, spec.w_scales, out[1], out[2]));
       step.qlinear.reset();
       ++applied;
     } else if (step.kind == OpKind::kLinear && step.skip < 0 && spec.kind == "linear" &&
@@ -746,7 +762,7 @@ FusedEngine::Binding& FusedEngine::BindingFor(int64_t batch) {
     bind->values[v] = storage.Reshape(val.shape.WithBatch(batch));
   }
   // Pin every conv, linear and pool step's solver once per (plan, batch):
-  // linear m, pool planes and folded conv n scale with the batch, so the
+  // linear m, pool planes and narrow conv m scale with the batch, so the
   // descriptor — and with it the tuned winner — can differ between bindings.
   // Steady-state Run() then never touches the registry or the tuning DB.
   bind->pins.reserve(steps_.size());
@@ -823,9 +839,13 @@ void FusedEngine::ExecStep(int seq, Binding& bind) {
       if (step.qconv != nullptr) {
         quant::QConv2dForwardInto(in, *step.qconv, step.conv_args, out, skip,
                                   step.act == Activation::kRelu, pin.qgemm);
+      } else if (step.narrow) {
+        NarrowConv2dForwardInto(in, step.weight, step.weight_shape[2], step.bias,
+                                step.conv_args, out, skip, step.act == Activation::kRelu,
+                                pin.gemm);
       } else {
         Conv2dForwardInto(in, step.weight, step.bias, step.conv_args, out, skip,
-                          step.act == Activation::kRelu, pin.gemm, pin.fold_batch);
+                          step.act == Activation::kRelu, pin.gemm);
       }
       break;
     case OpKind::kLinear:
@@ -883,9 +903,9 @@ void FusedEngine::StepCostPerSample(const Step& step, double* flops, double* byt
   const double weight_bytes = step.quantized() ? 1.0 : 4.0;
   switch (step.kind) {
     case OpKind::kConv: {
-      const Shape& w = step.weight.shape();
+      const Shape& w = step.weight_shape;
       const double weight_elems = static_cast<double>(w.NumElements());
-      // Per-sample im2col GEMM: 2 * O * (C*KH*KW) * (OH*OW), plus the fused
+      // The conv GEMM per sample: 2 * O * (C*KH*KW) * (OH*OW), plus the fused
       // epilogue (bias/skip/relu) at one op per output element.
       *flops = 2.0 * static_cast<double>(w[0] * w[1] * w[2] * w[3]) * (out_elems / w[0]) +
                out_elems * (step.skip >= 0 ? 2.0 : 1.0);
@@ -1072,7 +1092,7 @@ PlanIR FusedEngine::ExportPlan() const {
     ps.skip = s.skip;
     ps.out = s.out;
     ps.group = s.group;
-    ps.weight_shape = s.weight.shape();
+    ps.weight_shape = s.weight_shape;
     ps.stride = s.conv_args.stride;
     ps.padding = s.conv_args.padding;
     ps.act = s.act;

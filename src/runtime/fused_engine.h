@@ -7,12 +7,14 @@
 //                        single convolution with folded weights/bias.
 //   2. Epilogue fusion — bias, the residual skip-add and ReLU are applied
 //                        in the pass that writes each conv sample's GEMM
-//                        result (Conv2dForwardInto); at batch > 1 a conv
-//                        whose OH*OW is narrower than the wide GEMM tile
-//                        folds the batch into one GEMM whose epilogue also
-//                        scatters it back to NCHW; linears fuse bias, residual
-//                        skip-add and ReLU/GELU the same way
-//                        (LinearForwardInto). A transformer block lowers to
+//                        result (Conv2dForwardInto). A conv whose OH*OW is
+//                        narrower than the wide GEMM tile runs the whole
+//                        batch as one GEMM with output pixels as rows and
+//                        output channels as columns, over a W^T transposed
+//                        once here (NarrowConv2dForwardInto); its epilogue
+//                        transposes each sample back to NCHW first. Linears
+//                        fuse bias, residual skip-add and ReLU/GELU the same
+//                        way (LinearForwardInto). A transformer block lowers to
 //                        LayerNorm, QKV linear, attention, proj linear (+skip),
 //                        LayerNorm, fc1 (+GELU) and fc2 (+skip) steps; the
 //                        ViT/BERT stems to a patch conv plus a token-layout
@@ -34,8 +36,9 @@
 //
 // Returned output tensors alias engine-owned buffers: they are valid until
 // the next Run() on this engine. Like Module, a FusedEngine must not be used
-// from concurrent executions. The plan snapshots conv weights (folded) and
-// references linear weights by handle; rebuild the engine after re-training.
+// from concurrent executions. The plan snapshots conv weights (folded, or
+// transposed for narrow convs) and references linear weights by handle;
+// rebuild the engine after re-training.
 #ifndef GMORPH_SRC_RUNTIME_FUSED_ENGINE_H_
 #define GMORPH_SRC_RUNTIME_FUSED_ENGINE_H_
 
@@ -137,12 +140,12 @@ class FusedEngine : public InferenceEngine {
   PlanIR ExportPlan() const;
 
   // The kernel problem descriptors this plan executes at the given batch
-  // size (deduplicated): the im2col GEMM of every conv step (per sample, or
-  // batch-folded for narrow convs at batch > 1), the batched GEMM of every
-  // linear step (transformer projections and MLPs included), and every
-  // max-pool. They are exactly the descriptors a binding at that batch pins
-  // solvers for, and the shape list `gmorph_cli --autotune` feeds the
-  // autotuner.
+  // size (deduplicated): the GEMM of every conv step (per sample, m = O and
+  // n = OH*OW, for wide outputs; m = batch*OH*OW, k = C*KH*KW and n = O over
+  // the whole batch for narrow f32 ones), the batched GEMM of every linear
+  // step (transformer projections and MLPs included), and every max-pool.
+  // They are exactly the descriptors a binding at that batch pins solvers
+  // for, and the shape list `gmorph_cli --autotune` feeds the autotuner.
   std::vector<kernels::ProblemDesc> KernelProblems(int64_t batch) const;
 
  private:
@@ -183,9 +186,16 @@ class FusedEngine : public InferenceEngine {
     int out = -1;
     int group = 0;
     // Folded conv parameters; handles into the live modules for every other
-    // kind (see OpKind for what weight/bias hold).
+    // kind (see OpKind for what weight/bias hold). A narrow conv holds a
+    // snapshot of W^T [C*KH*KW, O] instead of W.
     Tensor weight;
     Tensor bias;
+    // The logical shape of `weight`, as the plan exports it: [O, C, KH, KW]
+    // for every conv, the narrow ones included.
+    Shape weight_shape;
+    // kConv: OH*OW < kWideMinN, so the f32 conv runs as one pixels x channels
+    // GEMM over the batch (NarrowConv2dForwardInto) and `weight` is W^T.
+    bool narrow = false;
     Conv2dArgs conv_args;
     Activation act = Activation::kNone;  // kConv: ReLU only
     // kMaxPool
@@ -228,7 +238,6 @@ class FusedEngine : public InferenceEngine {
     const kernels::GemmSolver* gemm = nullptr;    // f32 kConv / kLinear
     const kernels::QGemmSolver* qgemm = nullptr;  // int8 kConv / kLinear
     const kernels::PoolSolver* pool = nullptr;    // kMaxPool
-    bool fold_batch = false;  // f32 kConv: the descriptor spans the batch
     const char* name() const;  // "" when no solver is pinned
   };
 
@@ -254,11 +263,11 @@ class FusedEngine : public InferenceEngine {
   // fork (kernels nest to serial there), the kernel pool width otherwise.
   int GroupThreads(int group) const;
   // Fills `desc` with the kernel problem the step runs at `batch`, and is
-  // the one place that decides it. kConv: the im2col GEMM — per sample in
-  // the serial regime, or, at batch > 1 when OH*OW is below kWideMinN
-  // (f32 only), one GEMM with n = batch*OH*OW under the group's
-  // parallelism; kLinear: the batched GEMM; kMaxPool: the pool over every
-  // plane. Returns false for step kinds without one.
+  // the one place that decides it. kConv: kernels::ConvProblem — per sample
+  // in the serial regime, except that a narrow f32 conv runs one pixels x
+  // channels GEMM with m = batch*OH*OW under the group's parallelism;
+  // kLinear: the batched GEMM; kMaxPool: the pool over every plane. Returns
+  // false for step kinds without one.
   bool StepProblemDesc(const Step& step, int64_t batch, kernels::ProblemDesc* desc) const;
   // Resolves the solver for StepProblemDesc(step, batch) through the
   // registry (tuned winner when a DB is loaded, else the heuristic).

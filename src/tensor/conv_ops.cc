@@ -19,6 +19,14 @@ int64_t ItemGrain(int64_t per_item) {
   return std::max<int64_t>(1, (1 << 15) / std::max<int64_t>(1, per_item));
 }
 
+// The narrow conv's copy passes (pad and im2row, transpose and epilogue) split
+// the batch so each chunk writes about 512 KB, 55-85 us of copying on one
+// core. Waking parked pool workers cost the caller 70-115 us on a shared
+// 4-vCPU KVM guest, so a smaller chunk does not repay it.
+int64_t CopyGrain(int64_t per_item) {
+  return std::max<int64_t>(1, (1 << 17) / std::max<int64_t>(1, per_item));
+}
+
 // Narrowest output row for which the block copy below beats the
 // per-element loop. On narrower rows its three library calls per tap cost
 // more than the bounds tests they save: 64 channels at 2x2 take 1.9 us
@@ -41,11 +49,9 @@ TapRange ValidTapRange(int64_t in, int64_t out, int64_t tap, int64_t stride, int
   return {lo, std::clamp(first_at_least(in + padding - tap), lo, out)};
 }
 
-// Expands one sample (C,H,W) into the column matrix [C*KH*KW, OH*OW]; row r
-// starts at col + r * ldcol (OH*OW for one sample's own matrix, batch*OH*OW
-// when the batch is folded into one GEMM).
+// Expands one sample (C,H,W) into the column matrix [C*KH*KW, OH*OW].
 void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int64_t stride,
-            int64_t padding, int64_t oh, int64_t ow, float* col, int64_t ldcol) {
+            int64_t padding, int64_t oh, int64_t ow, float* col) {
   const int64_t spatial = oh * ow;
   if (stride == 1 && ow == w && ow >= kBlockCopyMinWidth) {
     // Output and input rows have the same width, so tap (kh, kw) reads one
@@ -57,7 +63,7 @@ void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int
       for (int64_t kh = 0; kh < kernel; ++kh) {
         const auto [y0, y1] = ValidTapRange(h, oh, kh, 1, padding);
         for (int64_t kw = 0; kw < kernel; ++kw) {
-          float* dst = col + ((ch * kernel + kh) * kernel + kw) * ldcol;
+          float* dst = col + ((ch * kernel + kh) * kernel + kw) * spatial;
           const auto [x0, x1] = ValidTapRange(w, ow, kw, 1, padding);
           if (y0 == y1 || x0 == x1) {
             std::fill(dst, dst + spatial, 0.0f);
@@ -86,7 +92,7 @@ void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int
   for (int64_t ch = 0; ch < c; ++ch) {
     for (int64_t kh = 0; kh < kernel; ++kh) {
       for (int64_t kw = 0; kw < kernel; ++kw) {
-        float* col_row = col + ((ch * kernel + kh) * kernel + kw) * ldcol;
+        float* col_row = col + ((ch * kernel + kh) * kernel + kw) * spatial;
         for (int64_t oy = 0; oy < oh; ++oy) {
           const int64_t iy = oy * stride + kh - padding;
           float* dst = col_row + oy * ow;
@@ -98,6 +104,47 @@ void Im2Col(const float* x, int64_t c, int64_t h, int64_t w, int64_t kernel, int
           for (int64_t ox = 0; ox < ow; ++ox) {
             const int64_t ix = ox * stride + kw - padding;
             dst[ox] = (ix >= 0 && ix < w) ? src_row[ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Copies one sample (C,H,W) into `dst` (C, H+2*pad, W+2*pad) with a zero
+// border, so im2row can read every tap without bounds tests.
+void PadImage(const float* x, int64_t c, int64_t h, int64_t w, int64_t pad, float* dst) {
+  const int64_t wp = w + 2 * pad;
+  const int64_t hp = h + 2 * pad;
+  std::fill(dst, dst + c * hp * wp, 0.0f);
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t y = 0; y < h; ++y) {
+      const float* src = x + (ch * h + y) * w;
+      std::copy(src, src + w, dst + (ch * hp + y + pad) * wp + pad);
+    }
+  }
+}
+
+// Expands one zero-bordered sample (C, hp, wp) into the row matrix
+// [OH*OW, C*KH*KW]: output pixel s owns row s, whose taps run in (ch, kh, kw)
+// order, the order of W's columns. Each row copies KH spans of KW contiguous
+// floats per channel, written front to back. K > 0 fixes the kernel width at
+// compile time, which turns each span into a fixed-size copy: padding and
+// expanding 64 channels at 4x4 took 5-8 us with K = 3 against 15-16 us with
+// a runtime width (one Sapphire Rapids core).
+template <int64_t K>
+void Im2Row(const float* image, int64_t c, int64_t hp, int64_t wp, int64_t kernel,
+            int64_t stride, int64_t oh, int64_t ow, float* rows) {
+  const int64_t kk = K > 0 ? K : kernel;
+  float* dst = rows;
+  for (int64_t oy = 0; oy < oh; ++oy) {
+    for (int64_t ox = 0; ox < ow; ++ox) {
+      const float* corner = image + oy * stride * wp + ox * stride;
+      for (int64_t ch = 0; ch < c; ++ch) {
+        for (int64_t kh = 0; kh < kk; ++kh, dst += kk) {
+          const float* src = corner + (ch * hp + kh) * wp;
+          for (int64_t kw = 0; kw < kk; ++kw) {
+            dst[kw] = src[kw];
           }
         }
       }
@@ -140,19 +187,13 @@ void Col2Im(const float* col, int64_t c, int64_t h, int64_t w, int64_t kernel, i
   }
 }
 
-// The conv epilogue for one sample: out[oc, s] = relu(y[oc * ldy + s] +
-// bias[oc] + skip[oc, s]), each term only when present, in that order. `y` is
-// the sample's GEMM result; it may be `out` itself (ldy = OH*OW). Every pass
-// updates `out` in place, so each loop vectorizes without an alias check
-// against `y`.
-void ConvEpilogue(const float* y, int64_t ldy, int64_t o, int64_t spatial, const float* bias,
-                  const float* skip, bool relu, float* out) {
+// The conv epilogue for one sample's NCHW plane, in place: out[oc, s] =
+// relu(out[oc, s] + bias[oc] + skip[oc, s]), each term only when present, in
+// that order.
+void ConvEpilogue(int64_t o, int64_t spatial, const float* bias, const float* skip, bool relu,
+                  float* out) {
   for (int64_t oc = 0; oc < o; ++oc) {
-    const float* yo = y + oc * ldy;
     float* dst = out + oc * spatial;
-    if (dst != yo) {
-      std::copy(yo, yo + spatial, dst);
-    }
     if (bias != nullptr) {
       const float bv = bias[oc];
       for (int64_t s = 0; s < spatial; ++s) {
@@ -193,7 +234,7 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b, const Co
 
 void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args,
                        Tensor& out, const Tensor* skip, bool relu,
-                       const kernels::GemmSolver* solver, bool fold_batch) {
+                       const kernels::GemmSolver* solver) {
   GMORPH_CHECK(x.shape().Rank() == 4 && w.shape().Rank() == 4);
   const int64_t n = x.shape()[0];
   const int64_t c = x.shape()[1];
@@ -215,39 +256,6 @@ void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const 
   const int64_t spatial = oh * ow;
   const int64_t plane = o * spatial;
   const float* bias = b.empty() ? nullptr : b.data();
-  const auto epilogue = [&](const float* y, int64_t ldy, int64_t i) {
-    ConvEpilogue(y, ldy, o, spatial, bias, skip == nullptr ? nullptr : skip->data() + i * plane,
-                 relu, out.data() + i * plane);
-  };
-
-  if (fold_batch) {
-    // One GEMM over the whole batch: W[O, CKK] x col[CKK, N*OH*OW], where
-    // sample i owns columns [i*OH*OW, (i+1)*OH*OW). Workers fill and drain
-    // disjoint column blocks of this thread's scratch while the scope stays
-    // open around them.
-    const int64_t cols = n * spatial;
-    const kernels::ProblemDesc desc =
-        kernels::GemmProblem(kernels::OpFamily::kGemmNN, o, ckk, cols);
-    if (solver == nullptr) {
-      solver = kernels::SolverRegistry::Global().ResolveGemm(desc);
-    }
-    ScratchScope scope;
-    float* col = scope.AllocFloats(static_cast<size_t>(ckk * cols));
-    float* y = scope.AllocFloats(static_cast<size_t>(o * cols));
-    ParallelFor(0, n, ItemGrain(ckk * spatial), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        Im2Col(x.data() + i * c * h * wd, c, h, wd, kernel, args.stride, args.padding, oh, ow,
-               col + i * spatial, cols);
-      }
-    });
-    solver->Run(desc, kernels::MakeGemmCall(desc, w.data(), col, y, /*accumulate=*/false));
-    ParallelFor(0, n, ItemGrain(plane), [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        epilogue(y + i * spatial, cols, i);
-      }
-    });
-    return;
-  }
 
   // Samples are independent: parallelize over the batch, with the im2col
   // buffer reused from each worker's scratch arena. The GEMM runs inside the
@@ -262,11 +270,74 @@ void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const 
     ScratchScope scope;
     float* col = scope.AllocFloats(static_cast<size_t>(ckk * spatial));
     for (int64_t i = lo; i < hi; ++i) {
-      Im2Col(x.data() + i * c * h * wd, c, h, wd, kernel, args.stride, args.padding, oh, ow, col,
-             spatial);
+      Im2Col(x.data() + i * c * h * wd, c, h, wd, kernel, args.stride, args.padding, oh, ow, col);
       float* y = out.data() + i * plane;
       solver->Run(desc, kernels::MakeGemmCall(desc, w.data(), col, y, /*accumulate=*/false));
-      epilogue(y, spatial, i);
+      ConvEpilogue(o, spatial, bias, skip == nullptr ? nullptr : skip->data() + i * plane, relu,
+                   y);
+    }
+  });
+}
+
+void NarrowConv2dForwardInto(const Tensor& x, const Tensor& wt, int64_t kernel, const Tensor& b,
+                             const Conv2dArgs& args, Tensor& out, const Tensor* skip, bool relu,
+                             const kernels::GemmSolver* solver) {
+  GMORPH_CHECK(x.shape().Rank() == 4 && wt.shape().Rank() == 2);
+  const int64_t n = x.shape()[0];
+  const int64_t c = x.shape()[1];
+  const int64_t h = x.shape()[2];
+  const int64_t wd = x.shape()[3];
+  const int64_t ckk = c * kernel * kernel;
+  const int64_t o = wt.shape()[1];
+  GMORPH_CHECK(wt.shape()[0] == ckk, "narrow conv: x " << x.shape().ToString() << " k" << kernel
+                                                       << " wt " << wt.shape().ToString());
+  const int64_t oh = ConvOutDim(h, kernel, args.stride, args.padding);
+  const int64_t ow = ConvOutDim(wd, kernel, args.stride, args.padding);
+  GMORPH_CHECK(out.shape() == Shape({n, o, oh, ow}),
+               "conv out buffer " << out.shape().ToString() << " want "
+                                  << Shape({n, o, oh, ow}).ToString());
+  GMORPH_CHECK(skip == nullptr || skip->shape() == out.shape());
+
+  const int64_t spatial = oh * ow;
+  const int64_t plane = o * spatial;
+  const kernels::ProblemDesc desc =
+      kernels::GemmProblem(kernels::OpFamily::kGemmNN, n * spatial, ckk, o);
+  if (solver == nullptr) {
+    solver = kernels::SolverRegistry::Global().ResolveGemm(desc);
+  }
+  const int64_t pad = args.padding;
+  const int64_t hp = h + 2 * pad;
+  const int64_t wp = wd + 2 * pad;
+  const float* bias = b.empty() ? nullptr : b.data();
+  // Workers fill and drain disjoint row blocks of this thread's scratch while
+  // the scope stays open around them.
+  ScratchScope scope;
+  float* rows = scope.AllocFloats(static_cast<size_t>(n * spatial * ckk));
+  float* y = scope.AllocFloats(static_cast<size_t>(n * plane));
+  ParallelFor(0, n, CopyGrain(ckk * spatial), [&](int64_t lo, int64_t hi) {
+    ScratchScope worker_scope;
+    float* padded = pad > 0 ? worker_scope.AllocFloats(static_cast<size_t>(c * hp * wp)) : nullptr;
+    for (int64_t i = lo; i < hi; ++i) {
+      const float* image = x.data() + i * c * h * wd;
+      if (padded != nullptr) {
+        PadImage(image, c, h, wd, pad, padded);
+        image = padded;
+      }
+      float* dst = rows + i * spatial * ckk;
+      if (kernel == 3) {
+        Im2Row<3>(image, c, hp, wp, kernel, args.stride, oh, ow, dst);
+      } else {
+        Im2Row<0>(image, c, hp, wp, kernel, args.stride, oh, ow, dst);
+      }
+    }
+  });
+  solver->Run(desc, kernels::MakeGemmCall(desc, rows, wt.data(), y, /*accumulate=*/false));
+  ParallelFor(0, n, CopyGrain(plane), [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      float* dst = out.data() + i * plane;
+      kernels::Transpose(spatial, o, y + i * plane, o, dst, spatial);
+      ConvEpilogue(o, spatial, bias, skip == nullptr ? nullptr : skip->data() + i * plane, relu,
+                   dst);
     }
   });
 }
@@ -322,7 +393,7 @@ Tensor Conv2dBackward(const Tensor& x, const Tensor& w, const Tensor& grad_out,
       const float* xi = x.data() + i * c * h * wd;
       const float* dy = grad_out.data() + i * o * spatial;
 
-      Im2Col(xi, c, h, wd, kernel, args.stride, args.padding, oh, ow, col, spatial);
+      Im2Col(xi, c, h, wd, kernel, args.stride, args.padding, oh, ow, col);
       dw_solver->Run(dw_desc, kernels::MakeGemmCall(dw_desc, dy, col, partial_w + i * o * ckk,
                                                     /*accumulate=*/false));
       dx_solver->Run(dx_desc, kernels::MakeGemmCall(dx_desc, wt, dy, dcol, /*accumulate=*/false));

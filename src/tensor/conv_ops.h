@@ -25,22 +25,32 @@ int64_t ConvOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t padding);
 // x: (N,C,H,W), w: (O,C,KH,KW), b: (O) or empty -> (N,O,OH,OW).
 Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args);
 
-// Out-parameter variant used by the execution planner: writes into the
-// preallocated `out` (N,O,OH,OW) and fuses an epilogue into the pass that
-// writes each sample's result — bias, then `skip` (same shape as out), then
-// `relu` clamping at zero — so residual tails and activations cost no extra
-// pass over memory and no allocation.
-//
-// By default each sample runs its own im2col GEMM [O, C*KH*KW] x
-// [C*KH*KW, OH*OW] inside a parallel loop over the batch. With `fold_batch`
-// the batch runs as one GEMM over [C*KH*KW, N*OH*OW] instead, which keeps
-// the wide micro-kernels busy when OH*OW alone is narrow; the results equal
-// the per-sample ones up to summation order. `solver` pins the GEMM solver
-// for whichever descriptor runs (the fused engine resolves it once per
-// binding); nullptr resolves it through the registry per call.
+// Out-parameter variant: writes into the preallocated `out` (N,O,OH,OW) and
+// fuses an epilogue into the pass that writes each sample's result — bias,
+// then `skip` (same shape as out), then `relu` clamping at zero — so
+// residual tails and activations cost no extra pass over memory and no
+// allocation. Each sample runs its own im2col GEMM [O, C*KH*KW] x
+// [C*KH*KW, OH*OW] inside a parallel loop over the batch. `solver` pins the
+// GEMM solver (the fused engine resolves it once per binding); nullptr
+// resolves it through the registry per call.
 void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args,
                        Tensor& out, const Tensor* skip = nullptr, bool relu = false,
-                       const kernels::GemmSolver* solver = nullptr, bool fold_batch = false);
+                       const kernels::GemmSolver* solver = nullptr);
+
+// The fused engine's narrow-conv path (kernels::ConvProblem, OH*OW <
+// kWideMinN): the whole batch runs as one GEMM with output pixels as rows
+// and output channels as columns,
+//   out^T[N*OH*OW, O] = im2row(x)[N*OH*OW, C*KH*KW] · W^T[C*KH*KW, O],
+// over `wt`, the kernel x kernel weights pre-transposed to [C*KH*KW, O].
+// im2row reads a zero-bordered copy of each sample, so it copies whole
+// kernel-wide spans without bounds tests. Each sample's rows are then
+// transposed into its NCHW plane, which takes Conv2dForwardInto's epilogue
+// in place. On gemm.direct every output equals Conv2dForwardInto's on
+// gemm.direct bit for bit: both sum the same products in the same k order.
+// Buffers come from the scratch arena.
+void NarrowConv2dForwardInto(const Tensor& x, const Tensor& wt, int64_t kernel, const Tensor& b,
+                             const Conv2dArgs& args, Tensor& out, const Tensor* skip = nullptr,
+                             bool relu = false, const kernels::GemmSolver* solver = nullptr);
 
 // Gradients of the same convolution. `grad_w`/`grad_b` are accumulated into
 // (caller zeroes them at the start of a step); returns grad_x.

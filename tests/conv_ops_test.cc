@@ -1,5 +1,6 @@
 #include "src/tensor/conv_ops.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
@@ -389,6 +390,83 @@ TEST(ConvPropertyTest, BackwardBitwiseMatchesPerSampleGemms) {
   const std::set<std::string> all = {"gemm.ref", "gemm.dot", "gemm.direct", "gemm.packed"};
   EXPECT_EQ(nt_solvers, all);
   EXPECT_EQ(tn_solvers, all);
+}
+
+// The fused engine's narrow-conv path against the per-sample W·col conv,
+// both on gemm.direct: each output sums the same products in the same k
+// order (FMA is symmetric in its factors), and the epilogue adds bias, then
+// skip, then clamps in the same order, so every bit matches. Each batch row
+// must also equal its own batch-1 run. The grid cycles O, C, the batch and
+// the epilogue flags through every (kernel, stride, padding, OH*OW) cell.
+TEST(ConvPropertyTest, NarrowConvBitwiseMatchesPerSampleDirect) {
+  const int64_t kernel_sizes[] = {1, 3, 8};
+  const int64_t strides[] = {1, 2, 8};
+  const int64_t paddings[] = {0, 1};
+  const std::pair<int64_t, int64_t> outputs[] = {{1, 1}, {1, 2}, {2, 2},
+                                                 {3, 3}, {4, 4}, {1, 23}};  // OH x OW
+  const int64_t out_channels[] = {1, 8, 24, 33, 64, 96};
+  const int64_t channels[] = {1, 3, 16, 64};
+  const int64_t batches[] = {1, 3, 8, 16};
+  const kernels::GemmSolver* direct = kernels::SolverRegistry::Global().FindGemm("gemm.direct");
+  ASSERT_NE(direct, nullptr);
+  const auto bitwise_equal = [](const float* a, const float* b, int64_t n) {
+    return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+  };
+  Rng rng(2024);
+  int cases = 0;
+  for (const int64_t k : kernel_sizes) {
+    for (const int64_t s : strides) {
+      for (const int64_t p : paddings) {
+        for (const auto& [oh, ow] : outputs) {
+          const int64_t h = (oh - 1) * s + k - 2 * p;
+          const int64_t w = (ow - 1) * s + k - 2 * p;
+          if (h < 1 || w < 1) {
+            continue;  // a 1x1 kernel over padding only
+          }
+          const int64_t o = out_channels[cases % 6];
+          const int64_t c = channels[(cases / 6) % 4];
+          const int64_t n = batches[(cases / 2) % 4];
+          const bool bias = (cases & 1) != 0;
+          const bool skip = (cases & 2) != 0;
+          const bool relu = (cases & 4) != 0;
+          ++cases;
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << k << " s=" << s << " p=" << p << " out=" << oh << "x" << ow
+                       << " o=" << o << " c=" << c << " n=" << n << " bias=" << bias
+                       << " skip=" << skip << " relu=" << relu);
+          const Conv2dArgs args{s, p};
+          ASSERT_EQ(ConvOutDim(h, k, s, p), oh);
+          ASSERT_EQ(ConvOutDim(w, k, s, p), ow);
+          const Tensor x = Tensor::RandomGaussian(Shape{n, c, h, w}, rng);
+          const Tensor wts = Tensor::RandomGaussian(Shape{o, c, k, k}, rng);
+          const Tensor b = bias ? Tensor::RandomGaussian(Shape{o}, rng) : Tensor();
+          const Tensor res = Tensor::RandomGaussian(Shape{n, o, oh, ow}, rng);
+          const int64_t ckk = c * k * k;
+          Tensor wt(Shape{ckk, o});
+          kernels::Transpose(o, ckk, wts.data(), ckk, wt.data(), o);
+
+          Tensor want(res.shape());
+          Conv2dForwardInto(x, wts, b, args, want, skip ? &res : nullptr, relu, direct);
+          Tensor got(res.shape());
+          NarrowConv2dForwardInto(x, wt, k, b, args, got, skip ? &res : nullptr, relu, direct);
+          EXPECT_TRUE(bitwise_equal(got.data(), want.data(), got.size()));
+
+          const int64_t in_row = c * h * w;
+          const int64_t out_row = o * oh * ow;
+          for (int64_t r = 0; r < n; ++r) {
+            Tensor xr(Shape{1, c, h, w});
+            std::copy(x.data() + r * in_row, x.data() + (r + 1) * in_row, xr.data());
+            Tensor rr(Shape{1, o, oh, ow});
+            std::copy(res.data() + r * out_row, res.data() + (r + 1) * out_row, rr.data());
+            Tensor yr(rr.shape());
+            NarrowConv2dForwardInto(xr, wt, k, b, args, yr, skip ? &rr : nullptr, relu, direct);
+            EXPECT_TRUE(bitwise_equal(yr.data(), got.data() + r * out_row, out_row)) << "row " << r;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 90);
 }
 
 TEST(MaxPoolTest, SelectsWindowMaxima) {

@@ -1,15 +1,18 @@
 // Tests for the FusedEngine execution planner: eager/fused parity across the
 // model zoo and mutated graphs, bitwise determinism, branch-parallel
 // scheduling (CNN and transformer bundles), full lowering with costed steps,
-// batched rows against single-sample runs, solvers pinned per binding, and
-// the zero-allocation steady state of the static memory plan.
+// batched rows against single-sample runs (bit for bit on B1's fused plan),
+// solvers pinned per binding, and the zero-allocation steady state of the
+// static memory plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <sstream>
 
+#include "src/analysis/plan_io.h"
 #include "src/common/parallel_for.h"
 #include "src/core/model_parser.h"
 #include "src/core/mutation.h"
@@ -282,9 +285,9 @@ TEST(EnginePlanTest, SteadyStateRunAllocatesNoTensorStorage) {
   opts.base_width = 4;
   // Fully-lowerable bundle (convs, pools, flatten, linears — no fallbacks):
   // after the first Run binds each batch size, Run must touch neither the
-  // tensor allocator nor the scratch arena's heap again. The batch-4 runs
-  // fold the 4x4 and 2x2 convs into one GEMM over the batch, whose column
-  // and result matrices come from the scratch arena.
+  // tensor allocator nor the scratch arena's heap again. The 4x4 and 2x2
+  // convs run one pixels x channels GEMM over the batch, whose row and
+  // result matrices come from the scratch arena.
   AbsGraph g = ParseModelSpecs({MakeVgg11(opts), MakeVgg13(opts)});
   MultiTaskModel model(g, rng);
   FusedEngine fused(&model);
@@ -351,38 +354,57 @@ TEST(EnginePlanTest, SteadyStateRunResolvesNoSolvers) {
     }
   }
 
-  // KernelProblems reports what a binding pins: at batch 8, each conv too
-  // narrow for the wide GEMM tile (OH*OW < kWideMinN) is listed as one GEMM
-  // over the batch, n = 8*OH*OW, and no longer per sample.
+  // KernelProblems reports what a binding pins: each conv too narrow for the
+  // wide GEMM tile (OH*OW < kWideMinN) runs one pixels x channels GEMM over
+  // the batch, m = b*OH*OW, k = C*KH*KW, n = O, at batch 1 as at batch 8, and
+  // never the per-sample m = O, n = OH*OW form. The exported plan, and its
+  // text, still carry the conv's logical w=[O,C,KH,KW].
   Rng rng(22);
   AbsGraph g = ParseModelSpecs({MakeVgg11(opts)});
   MultiTaskModel model(g, rng);
   const FusedEngine fused(&model);
-  const std::vector<kernels::ProblemDesc> b1 = fused.KernelProblems(1);
-  const std::vector<kernels::ProblemDesc> b8 = fused.KernelProblems(8);
-  const auto lists = [](const std::vector<kernels::ProblemDesc>& descs, int64_t m, int64_t k,
-                        int64_t n) {
+  const PlanIR plan = fused.ExportPlan();
+  std::ostringstream text;
+  PlanToText(plan, text);
+  const auto lists = [&](int64_t batch, int64_t m, int64_t k, int64_t n) {
+    const std::vector<kernels::ProblemDesc> descs = fused.KernelProblems(batch);
     return std::any_of(descs.begin(), descs.end(), [&](const kernels::ProblemDesc& d) {
       return d.op == kernels::OpFamily::kGemmNN && d.dtype == kernels::DType::kF32 &&
              d.m == m && d.k == k && d.n == n;
     });
   };
   int narrow_convs = 0;
-  for (const kernels::ProblemDesc& d : b1) {
-    // Conv GEMMs have m = output channels > 1; a batch-1 linear has m = 1.
-    if (d.op != kernels::OpFamily::kGemmNN || d.m == 1 || d.n >= kernels::kWideMinN) {
+  for (size_t s = 0; s < plan.steps.size(); ++s) {
+    const PlanStep& step = plan.steps[s];
+    const Shape& out = plan.values[static_cast<size_t>(step.out)].shape;
+    if (step.kind != PlanOp::kConv || out[1] * out[2] >= kernels::kWideMinN) {
       continue;
     }
     ++narrow_convs;
-    EXPECT_TRUE(lists(b8, d.m, d.k, 8 * d.n)) << kernels::ProblemKey(d);
-    EXPECT_FALSE(lists(b8, d.m, d.k, d.n)) << kernels::ProblemKey(d);
+    const Shape& w = step.weight_shape;
+    ASSERT_EQ(w.Rank(), 4) << step.label;
+    EXPECT_EQ(w[0], out[0]) << step.label;
+    const int64_t spatial = out[1] * out[2];
+    const int64_t ckk = w[1] * w[2] * w[3];
+    for (const int64_t b : {1, 8}) {
+      EXPECT_TRUE(lists(b, b * spatial, ckk, w[0])) << step.label << " batch " << b;
+      EXPECT_FALSE(lists(b, w[0], ckk, spatial)) << step.label << " batch " << b;
+    }
+    const std::string token = " w=" + std::to_string(w[0]) + "x" + std::to_string(w[1]) + "x" +
+                              std::to_string(w[2]) + "x" + std::to_string(w[3]) + " ";
+    const std::string line = "step " + std::to_string(s) + " ";
+    const size_t at = text.str().find(line);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_NE(text.str().substr(at, text.str().find('\n', at) - at).find(token),
+              std::string::npos)
+        << step.label;
   }
   EXPECT_GE(narrow_convs, 2);  // VGG-11 at 32x32 runs convs at 4x4 and 2x2
 }
 
 // Every row of a batch-8 Run() against a batch-1 Run() of that row. Batch 8
-// folds narrow convs into one GEMM over the batch (and batches the linears),
-// which may change the summation order but nothing else.
+// batches the linears and the narrow convs' GEMMs, which may change a
+// solver, and with it the summation order, but nothing else.
 TEST(EnginePlanTest, BatchedRowsMatchSingleSampleRuns) {
   std::vector<std::pair<std::string, AbsGraph>> graphs;
   for (const ZooCase& c : ZooCases()) {
@@ -435,6 +457,61 @@ TEST(EnginePlanTest, BatchedRowsMatchSingleSampleRuns) {
         }
         EXPECT_LE(max_diff, 1e-5f * (1.0f + max_abs)) << name << " row " << r << " task " << t;
       }
+    }
+  }
+}
+
+// infer-b1's plan: B1's three VGG-13s after four sharing mutations. Its
+// narrow convs (32->64 and 64->64 at 4x4, 64->64 at 2x2) run one pixels x
+// channels GEMM over the batch on gemm.direct, where each output sums its k
+// products in the same order whatever m is, so every row of a batch-8 Run()
+// equals a batch-1 Run() of that row bit for bit.
+TEST(EnginePlanTest, NarrowConvRowsMatchSingleSampleRunsBitwise) {
+  BenchmarkScale scale;
+  scale.train_size = 8;
+  scale.test_size = 8;
+  const BenchmarkDef b1 = MakeBenchmark(1, scale, 23);
+  std::vector<ModelSpec> specs;
+  for (const BenchmarkTask& task : b1.tasks) {
+    specs.push_back(task.model);
+  }
+  Rng structure(1);
+  const std::optional<AbsGraph> g =
+      SampleMutatePass(ParseModelSpecs(specs), 4, ShapeSimilarity::kSimilar, structure);
+  ASSERT_TRUE(g.has_value());
+  Rng rng(25);
+  MultiTaskModel model(*g, rng);
+  FusedEngine fused(&model);
+
+  const PlanIR plan = fused.ExportPlan();
+  int narrow_direct = 0;
+  for (const PlanStep& step : plan.steps) {
+    const Shape& out = plan.values[static_cast<size_t>(step.out)].shape;
+    if (step.kind == PlanOp::kConv && out[1] * out[2] < kernels::kWideMinN) {
+      EXPECT_EQ(step.solver, "gemm.direct") << step.label;
+      ++narrow_direct;
+    }
+  }
+  EXPECT_EQ(narrow_direct, 12);  // four narrow convs in each of three branches
+
+  const Tensor x8 = InputFor(g->node(g->root()).output_shape, /*batch=*/8, rng);
+  std::vector<Tensor> batched;
+  for (const Tensor& y : fused.Run(x8)) {
+    batched.push_back(y.Clone());  // outputs alias engine buffers
+  }
+  const int64_t row_elems = x8.size() / 8;
+  for (int64_t r = 0; r < 8; ++r) {
+    Tensor row(x8.shape().WithoutBatch().WithBatch(1));
+    std::memcpy(row.data(), x8.data() + r * row_elems,
+                static_cast<size_t>(row_elems) * sizeof(float));
+    const std::vector<Tensor> single = fused.Run(row);
+    ASSERT_EQ(single.size(), batched.size());
+    for (size_t t = 0; t < single.size(); ++t) {
+      const int64_t n = single[t].size();
+      EXPECT_EQ(std::memcmp(single[t].data(), batched[t].data() + r * n,
+                            static_cast<size_t>(n) * sizeof(float)),
+                0)
+          << "row " << r << " task " << t;
     }
   }
 }

@@ -2,6 +2,7 @@
 // runtime engines.
 #include <gtest/gtest.h>
 
+#include "src/common/parallel_for.h"
 #include "src/core/finetune.h"
 #include "src/core/latency.h"
 #include "src/core/model_parser.h"
@@ -9,6 +10,7 @@
 #include "src/data/synthetic.h"
 #include "src/data/teacher.h"
 #include "src/models/zoo.h"
+#include "src/obs/trace.h"
 #include "src/runtime/engine.h"
 #include "src/runtime/fused_engine.h"
 #include "tests/test_util.h"
@@ -183,10 +185,37 @@ TEST(EngineTest, FusedNotSlowerThanEager) {
   MultiTaskModel model(g, rng);
   auto eager = MakeEngine(EngineKind::kEager, &model);
   auto fused = MakeEngine(EngineKind::kFused, &model);
-  const Shape in = g.node(g.root()).output_shape;
-  const double lat_eager = MeasureEngineLatencyMs(*eager, in, 4, 1, 5);
-  const double lat_fused = MeasureEngineLatencyMs(*fused, in, 4, 1, 5);
+  const Tensor x = Tensor::Zeros(g.node(g.root()).output_shape.WithBatch(4));
+  const auto [lat_eager, lat_fused] = testing::InterleavedMediansMs(
+      [&] { eager->Run(x); }, [&] { fused->Run(x); }, /*runs=*/31);
   EXPECT_LT(lat_fused, lat_eager * 1.15);  // allow timer noise
+}
+
+TEST(EngineTest, FusedSmallBatchRunWakesNoKernelWorker) {
+  // FusedNotSlowerThanEager's model and batch. Every step is too small to
+  // repay waking a parked kernel worker, so Run() keeps to the calling thread
+  // like the eager engine, and a busy host delays both sides alike.
+  const int restore = KernelThreads();
+  SetKernelThreads(4);
+  Rng rng(8);
+  VisionModelOptions opts;
+  opts.base_width = 8;
+  opts.classes = 4;
+  AbsGraph g = ParseModelSpecs({MakeVgg13(opts)});
+  MultiTaskModel model(g, rng);
+  FusedEngine fused(&model);
+  const Tensor x = Tensor::Zeros(g.node(g.root()).output_shape.WithBatch(4));
+  fused.Run(x);
+  obs::StopTracing();
+  obs::ClearTrace();
+  obs::StartTracing();
+  fused.Run(x);
+  obs::StopTracing();
+  SetKernelThreads(restore);  // joins the pool's workers before the export
+  const std::string json = obs::TraceToJson();
+  obs::ClearTrace();
+  EXPECT_EQ(json.find("\"name\":\"pool/task\""), std::string::npos)
+      << "a kernel pool task ran during Run()";
 }
 
 TEST(EngineTest, TransformerPlanMatchesEager) {

@@ -8,6 +8,7 @@
 #include "src/core/model_parser.h"
 #include "src/models/zoo.h"
 #include "src/serving/scheduler.h"
+#include "tests/test_util.h"
 
 namespace gmorph {
 namespace {
@@ -255,8 +256,14 @@ TEST(ServingSimTest, EndToEndWithRealEngine) {
   ServingStats s = SimulateServing(engine, g.node(0).output_shape, so);
   EXPECT_GT(s.throughput_qps, 0.0);
   EXPECT_EQ(s.service_time_ms.size(), 4u);
-  // Larger batches take no less wall time than batch 1.
-  EXPECT_GE(s.service_time_ms[3], s.service_time_ms[0] * 0.8);
+  // Larger batches take no less wall time than batch 1. One calibration run
+  // per size is too noisy to show it, so the two sizes are timed here,
+  // interleaved.
+  const Tensor x1 = Tensor::Zeros(g.node(0).output_shape.WithBatch(1));
+  const Tensor x4 = Tensor::Zeros(g.node(0).output_shape.WithBatch(4));
+  const auto [b1_ms, b4_ms] = testing::InterleavedMediansMs([&] { engine.Run(x1); },
+                                                            [&] { engine.Run(x4); }, /*runs=*/31);
+  EXPECT_GE(b4_ms, b1_ms * 0.8);
 }
 
 TEST(SchedulerCoreTest, CalibrateServiceTimesSharedPath) {

@@ -1,7 +1,9 @@
 #include "tests/test_util.h"
 
+#include <algorithm>
 #include <vector>
 
+#include "src/obs/timing.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace gmorph::testing {
@@ -59,6 +61,27 @@ void GradCheckModule(Module& module, const Tensor& x, float tolerance, Rng& rng,
           << "param " << p->name << " grad at flat index " << i;
     }
   }
+}
+
+std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
+                                               const std::function<void()>& b, int runs) {
+  a();
+  b();
+  std::vector<double> a_ms;
+  std::vector<double> b_ms;
+  for (int i = 0; i < runs; ++i) {
+    Timer ta;
+    a();
+    a_ms.push_back(ta.Millis());
+    Timer tb;
+    b();
+    b_ms.push_back(tb.Millis());
+  }
+  const auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(v.size() / 2), v.end());
+    return v[v.size() / 2];
+  };
+  return {median(a_ms), median(b_ms)};
 }
 
 }  // namespace gmorph::testing

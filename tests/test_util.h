@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -29,6 +30,13 @@ inline float MaxDiff(const Tensor& a, const Tensor& b) {
 // `tolerance` is the max allowed absolute error.
 void GradCheckModule(Module& module, const Tensor& x, float tolerance, Rng& rng,
                      float epsilon = 1e-3f);
+
+// Median wall times in ms of `a` and `b`, timed alternately `runs` times each
+// after one warm-up call of each. Interleaving exposes both sides to the same
+// host load; two loops timed one after the other do not, and a steal burst
+// during one of them flips a ratio check.
+std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
+                                               const std::function<void()>& b, int runs);
 
 }  // namespace gmorph::testing
 
