@@ -361,8 +361,8 @@ void InitObsOnce() {
     obs::InitTracingFromEnv();
     obs::InitMetricsFromEnv();
     std::atexit([] {
-      std::printf("{\"metrics_snapshot\": %s}\n", obs::MetricsRegistry::Global().ToJson().c_str());
-      std::fflush(stdout);
+      const std::string snapshot = obs::MetricsRegistry::Global().ToJson();
+      EmitJsonLine(JsonLine().Key("metrics_snapshot").Raw(snapshot));
     });
     return true;
   }();
@@ -371,58 +371,15 @@ void InitObsOnce() {
 
 }  // namespace
 
-void Json::Key(const std::string& key) {
-  if (!body_.empty()) {
-    body_ += ", ";
-  }
-  obs::AppendJsonString(body_, key);
-  body_ += ": ";
+obs::JsonWriter JsonLine() {
+  obs::JsonWriter line(obs::kSpacedJson);
+  line.BeginObject();
+  return line;
 }
 
-Json& Json::Set(const std::string& key, const std::string& value) {
-  Key(key);
-  obs::AppendJsonString(body_, value);
-  return *this;
-}
-
-Json& Json::Set(const std::string& key, const char* value) {
-  return Set(key, std::string(value));
-}
-
-Json& Json::Set(const std::string& key, double value, int precision) {
-  Key(key);
-  body_ += Fmt(value, precision);
-  return *this;
-}
-
-Json& Json::Set(const std::string& key, int64_t value) {
-  Key(key);
-  body_ += std::to_string(value);
-  return *this;
-}
-
-Json& Json::Set(const std::string& key, int value) {
-  return Set(key, static_cast<int64_t>(value));
-}
-
-Json& Json::SetArray(const std::string& key, const std::vector<double>& values, int precision) {
-  Key(key);
-  body_ += '[';
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) {
-      body_ += ", ";
-    }
-    body_ += Fmt(values[i], precision);
-  }
-  body_ += ']';
-  return *this;
-}
-
-std::string Json::Str() const { return "{" + body_ + "}"; }
-
-void EmitJsonLine(const Json& json) {
+void EmitJsonLine(obs::JsonWriter& line) {
   InitObsOnce();
-  std::printf("%s\n", json.Str().c_str());
+  std::printf("%s\n", line.EndObject().Take().c_str());
   std::fflush(stdout);
 }
 

@@ -16,6 +16,7 @@
 #include "src/core/gmorph.h"
 #include "src/data/benchmarks.h"
 #include "src/data/teacher.h"
+#include "src/obs/json.h"
 
 namespace gmorph::bench {
 
@@ -107,33 +108,18 @@ bool ReplayOrBeginRecord(const std::string& name);
 
 // ---- JSON emission ----
 
-// Single-line JSON object builder for the benches' machine-parseable output
-// (micro_ops, table3_engines, serving_throughput all emit through it so the
-// line format stays uniform).
-class Json {
- public:
-  Json& Set(const std::string& key, const std::string& value);
-  Json& Set(const std::string& key, const char* value);
-  Json& Set(const std::string& key, double value, int precision = 3);
-  Json& Set(const std::string& key, int64_t value);
-  Json& Set(const std::string& key, int value);
-  Json& SetArray(const std::string& key, const std::vector<double>& values, int precision = 3);
+// Starts one JSON result line: an open object in obs::kSpacedJson, e.g.
+// {"op": "gemm", "gflops": 1.25}. Every bench's machine-parseable lines start
+// here, so the line format stays uniform.
+obs::JsonWriter JsonLine();
 
-  // The assembled object, e.g. {"op": "gemm", "gflops": 1.25}.
-  std::string Str() const;
-
- private:
-  void Key(const std::string& key);
-  std::string body_;
-};
-
-// Prints one JSON line to stdout (flushed). The first call arms the obs
+// Closes `line` and prints it to stdout (flushed). The first call arms the obs
 // subsystem from the environment (GMORPH_TRACE / GMORPH_METRICS) and
 // registers an atexit hook that appends one final
 //   {"metrics_snapshot": {...}}
 // line carrying the metrics-registry snapshot, so every bench transcript ends
 // with its counters/histograms.
-void EmitJsonLine(const Json& json);
+void EmitJsonLine(obs::JsonWriter& line);
 
 // ---- Table formatting ----
 

@@ -32,14 +32,15 @@ int main() {
       // One JSON line per trace point: the full search-cost trajectory
       // (machine-parseable, like micro_ops/table3).
       for (size_t i = 0; i < s.trace.size(); ++i) {
-        std::printf("{\"bench\": \"B1\", \"threshold\": %.3f, \"variant\": \"%s\", "
-                    "\"iteration\": %zu, \"elapsed_seconds\": %.3f, \"best_flops\": %lld, "
-                    "\"cache_hit\": %s}\n",
-                    threshold, VariantName(v).c_str(), i + 1, s.trace[i].elapsed_seconds,
-                    static_cast<long long>(s.trace[i].best_flops),
-                    s.trace[i].cache_hit ? "true" : "false");
+        EmitJsonLine(JsonLine()
+                         .Key("bench").String("B1")
+                         .Key("threshold").Fixed(threshold, 3)
+                         .Key("variant").String(VariantName(v))
+                         .Key("iteration").Int(i + 1)
+                         .Key("elapsed_seconds").Fixed(s.trace[i].elapsed_seconds, 3)
+                         .Key("best_flops").Int(s.trace[i].best_flops)
+                         .Key("cache_hit").Bool(s.trace[i].cache_hit));
       }
-      std::fflush(stdout);
     }
     std::printf("\n");
   }

@@ -85,13 +85,13 @@ BenchResult Run(const std::function<void()>& fn) {
 void PrintLine(const std::string& op, const std::string& shape, double flops,
                const BenchResult& main, const BenchResult* ref) {
   const double gf = flops / main.seconds_per_iter / 1e9;
-  bench::Json line;
-  line.Set("op", op).Set("shape", shape).Set("gflops", gf, 2);
+  obs::JsonWriter line = bench::JsonLine();
+  line.Key("op").String(op).Key("shape").String(shape).Key("gflops").Fixed(gf, 2);
   if (ref != nullptr) {
     const double ref_gf = flops / ref->seconds_per_iter / 1e9;
-    line.Set("ref_gflops", ref_gf, 2).Set("speedup", gf / ref_gf, 2);
+    line.Key("ref_gflops").Fixed(ref_gf, 2).Key("speedup").Fixed(gf / ref_gf, 2);
   }
-  line.Set("bytes_per_op", main.bytes_per_iter);
+  line.Key("bytes_per_op").Int(main.bytes_per_iter);
   bench::EmitJsonLine(line);
 }
 
@@ -239,19 +239,20 @@ void BenchQGemm(Rng& rng, const char* name, int64_t m, int64_t k, int64_t n) {
   char shape[96];
   std::snprintf(shape, sizeof(shape), "%lldx%lldx%lld", static_cast<long long>(m),
                 static_cast<long long>(k), static_cast<long long>(n));
-  bench::EmitJsonLine(bench::Json()
-                          .Set("op", std::string("qgemm_nn_") + name)
-                          .Set("shape", shape)
-                          .Set("dtype", "int8")
-                          .Set("solver", solver->name())
-                          .Set("gflops", gf, 2)
-                          .Set("f32_gflops", f32_gf, 2)
-                          .Set("speedup", f32_gf > 0.0 ? gf / f32_gf : 0.0, 2)
-                          .Set("traffic_bytes", traffic)
-                          .Set("f32_traffic_bytes", f32_traffic)
-                          .Set("traffic_ratio",
-                               static_cast<double>(f32_traffic) / static_cast<double>(traffic), 2)
-                          .Set("bytes_per_op", q.bytes_per_iter));
+  bench::EmitJsonLine(
+      bench::JsonLine()
+          .Key("op").String(std::string("qgemm_nn_") + name)
+          .Key("shape").String(shape)
+          .Key("dtype").String("int8")
+          .Key("solver").String(solver->name())
+          .Key("gflops").Fixed(gf, 2)
+          .Key("f32_gflops").Fixed(f32_gf, 2)
+          .Key("speedup").Fixed(f32_gf > 0.0 ? gf / f32_gf : 0.0, 2)
+          .Key("traffic_bytes").Int(traffic)
+          .Key("f32_traffic_bytes").Int(f32_traffic)
+          .Key("traffic_ratio")
+          .Fixed(static_cast<double>(f32_traffic) / static_cast<double>(traffic), 2)
+          .Key("bytes_per_op").Int(q.bytes_per_iter));
 }
 
 // One batch-1 3x3/stride-1/pad-1 conv of B1, int8 against the f32 path the
@@ -287,22 +288,23 @@ void BenchQConv(Rng& rng, const char* name, int64_t c, int64_t hw, int64_t o) {
   std::snprintf(shape, sizeof(shape), "c%lld %lldx%lld o%lld", static_cast<long long>(c),
                 static_cast<long long>(hw), static_cast<long long>(hw),
                 static_cast<long long>(o));
-  bench::EmitJsonLine(bench::Json()
-                          .Set("op", std::string("qconv_") + name)
-                          .Set("shape", shape)
-                          .Set("dtype", "int8")
-                          .Set("solver", solver->name())
-                          .Set("gflops", gf, 2)
-                          .Set("f32_gflops", f32_gf, 2)
-                          .Set("speedup", f32_gf > 0.0 ? gf / f32_gf : 0.0, 2)
-                          .Set("bytes_per_op", q.bytes_per_iter));
+  bench::EmitJsonLine(bench::JsonLine()
+                          .Key("op").String(std::string("qconv_") + name)
+                          .Key("shape").String(shape)
+                          .Key("dtype").String("int8")
+                          .Key("solver").String(solver->name())
+                          .Key("gflops").Fixed(gf, 2)
+                          .Key("f32_gflops").Fixed(f32_gf, 2)
+                          .Key("speedup").Fixed(f32_gf > 0.0 ? gf / f32_gf : 0.0, 2)
+                          .Key("bytes_per_op").Int(q.bytes_per_iter));
 }
 
 // Benchmarks every applicable solver per (shape, GEMM variant) through the
 // autotuner's timing path and reports each candidate plus the selection.
 void SweepSolvers() {
   using kernels::OpFamily;
-  bench::EmitJsonLine(bench::Json().Set("config", "kernel_threads").Set("value", KernelThreads()));
+  bench::EmitJsonLine(
+      bench::JsonLine().Key("config").String("kernel_threads").Key("value").Int(KernelThreads()));
   const kernels::SolverRegistry& registry = kernels::SolverRegistry::Global();
   kernels::TuneDb db;  // in-memory scratch; the sweep always re-measures
   kernels::AutotuneOptions opts;
@@ -317,33 +319,35 @@ void SweepSolvers() {
         if (sample.solver == heuristic) {
           heuristic_gflops = sample.gflops;
         }
-        bench::EmitJsonLine(bench::Json()
-                                .Set("op", "sweep")
-                                .Set("family", kernels::OpFamilyName(op))
-                                .Set("shape", shape.name)
-                                .Set("solver", sample.solver)
-                                .Set("gflops", sample.gflops, 2)
-                                .Set("winner", sample.solver == result.winner ? 1 : 0));
+        bench::EmitJsonLine(bench::JsonLine()
+                                .Key("op").String("sweep")
+                                .Key("family").String(kernels::OpFamilyName(op))
+                                .Key("shape").String(shape.name)
+                                .Key("solver").String(sample.solver)
+                                .Key("gflops").Fixed(sample.gflops, 2)
+                                .Key("winner").Int(sample.solver == result.winner ? 1 : 0));
       }
-      bench::EmitJsonLine(bench::Json()
-                              .Set("op", "sweep_selected")
-                              .Set("family", kernels::OpFamilyName(op))
-                              .Set("shape", shape.name)
-                              .Set("solver", result.winner)
-                              .Set("gflops", result.winner_gflops, 2)
-                              .Set("heuristic", heuristic)
-                              .Set("heuristic_gflops", heuristic_gflops, 2)
-                              .Set("improvement",
-                                   heuristic_gflops > 0.0 ? result.winner_gflops / heuristic_gflops
-                                                          : 1.0,
-                                   3));
+      bench::EmitJsonLine(bench::JsonLine()
+                              .Key("op").String("sweep_selected")
+                              .Key("family").String(kernels::OpFamilyName(op))
+                              .Key("shape").String(shape.name)
+                              .Key("solver").String(result.winner)
+                              .Key("gflops").Fixed(result.winner_gflops, 2)
+                              .Key("heuristic").String(heuristic)
+                              .Key("heuristic_gflops").Fixed(heuristic_gflops, 2)
+                              .Key("improvement")
+                              .Fixed(heuristic_gflops > 0.0
+                                         ? result.winner_gflops / heuristic_gflops
+                                         : 1.0,
+                                     3));
     }
   }
 }
 
 void Main(const std::string& dtype_filter) {
   Rng rng(42);
-  bench::EmitJsonLine(bench::Json().Set("config", "kernel_threads").Set("value", KernelThreads()));
+  bench::EmitJsonLine(
+      bench::JsonLine().Key("config").String("kernel_threads").Key("value").Int(KernelThreads()));
   const bool run_f32 = dtype_filter.empty() || dtype_filter == "f32";
   const bool run_int8 = dtype_filter.empty() || dtype_filter == "int8";
 

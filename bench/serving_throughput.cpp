@@ -67,19 +67,16 @@ int main() {
 
   const auto print_json = [](const char* mode, const char* model, const char* load,
                              double arrival, const ServingStats& st, int64_t lost) {
-    EmitJsonLine(Json()
-                     .Set("mode", mode)
-                     .Set("model", model)
-                     .Set("load", load)
-                     .Set("arrival_qps", arrival, 0)
-                     .Set("throughput_qps", st.throughput_qps, 1)
-                     .Set("p50_ms", st.p50_latency_ms, 3)
-                     .Set("p95_ms", st.p95_latency_ms, 3)
-                     .Set("p99_ms", st.p99_latency_ms, 3)
-                     .Set("mean_batch", st.mean_batch_size, 2)
-                     .Set("shed", static_cast<int64_t>(st.num_shed))
-                     .Set("lost", lost)
-                     .SetArray("service_time_ms", st.service_time_ms, 3));
+    obs::JsonWriter line = JsonLine();
+    line.Key("mode").String(mode).Key("model").String(model).Key("load").String(load);
+    line.Key("arrival_qps").Fixed(arrival, 0).Key("throughput_qps").Fixed(st.throughput_qps, 1);
+    line.Key("p50_ms").Fixed(st.p50_latency_ms, 3).Key("p95_ms").Fixed(st.p95_latency_ms, 3);
+    line.Key("p99_ms").Fixed(st.p99_latency_ms, 3).Key("mean_batch").Fixed(st.mean_batch_size, 2);
+    line.Key("shed").Int(st.num_shed).Key("lost").Int(lost).Key("service_time_ms").BeginArray();
+    for (const double ms : st.service_time_ms) {
+      line.Fixed(ms, 3);
+    }
+    EmitJsonLine(line.EndArray());
   };
 
   PrintRow({"mode", "model", "load", "arrivalQPS", "qps", "p50(ms)", "p99(ms)", "meanBatch",
@@ -148,19 +145,19 @@ int main() {
     swapper.join();
     const int64_t lost = server.submitted() - server.completed() - server.shed();
     failures += lost != 0 ? 1 : 0;
-    EmitJsonLine(Json()
-                     .Set("mode", "threaded-hotswap")
-                     .Set("model", "fused")
-                     .Set("load", "bursty")
-                     .Set("arrival_qps", qps, 0)
-                     .Set("throughput_qps", st.throughput_qps, 1)
-                     .Set("p50_ms", st.p50_latency_ms, 3)
-                     .Set("p95_ms", st.p95_latency_ms, 3)
-                     .Set("p99_ms", st.p99_latency_ms, 3)
-                     .Set("mean_batch", st.mean_batch_size, 2)
-                     .Set("shed", static_cast<int64_t>(st.num_shed))
-                     .Set("swaps", pool.swap_count())
-                     .Set("lost", lost));
+    EmitJsonLine(JsonLine()
+                     .Key("mode").String("threaded-hotswap")
+                     .Key("model").String("fused")
+                     .Key("load").String("bursty")
+                     .Key("arrival_qps").Fixed(qps, 0)
+                     .Key("throughput_qps").Fixed(st.throughput_qps, 1)
+                     .Key("p50_ms").Fixed(st.p50_latency_ms, 3)
+                     .Key("p95_ms").Fixed(st.p95_latency_ms, 3)
+                     .Key("p99_ms").Fixed(st.p99_latency_ms, 3)
+                     .Key("mean_batch").Fixed(st.mean_batch_size, 2)
+                     .Key("shed").Int(st.num_shed)
+                     .Key("swaps").Int(pool.swap_count())
+                     .Key("lost").Int(lost));
     PrintRow({"threaded-hotswap", "fused", "bursty", Fmt(qps, 0), Fmt(st.throughput_qps, 0),
               Fmt(st.p50_latency_ms), Fmt(st.p99_latency_ms), Fmt(st.mean_batch_size, 1),
               Fmt(static_cast<double>(st.num_shed), 0)});

@@ -52,15 +52,15 @@ EngineSample Sample(InferenceEngine& engine, const Tensor& input) {
 void PrintJson(int bench, const std::string& engine, const char* model, int64_t batch,
                const EngineSample& s) {
   gmorph::bench::EmitJsonLine(
-      gmorph::bench::Json()
-          .Set("bench", gmorph::bench::BenchId(bench))
-          .Set("engine", engine)
-          .Set("model", model)
-          .Set("batch", batch)
-          .Set("latency_ms", s.latency_ms, 3)
-          .Set("throughput_qps",
-               s.latency_ms > 0.0 ? 1000.0 / s.latency_ms * static_cast<double>(batch) : 0.0, 1)
-          .Set("bytes_per_op", s.bytes_per_run));
+      gmorph::bench::JsonLine()
+          .Key("bench").String(gmorph::bench::BenchId(bench))
+          .Key("engine").String(engine)
+          .Key("model").String(model)
+          .Key("batch").Int(batch)
+          .Key("latency_ms").Fixed(s.latency_ms, 3)
+          .Key("throughput_qps")
+          .Fixed(s.latency_ms > 0.0 ? 1000.0 / s.latency_ms * static_cast<double>(batch) : 0.0, 1)
+          .Key("bytes_per_op").Int(s.bytes_per_run));
 }
 
 }  // namespace

@@ -14,14 +14,19 @@ namespace {
 
 void PrintJson(int bench, double threshold, const std::string& variant,
                const gmorph::bench::SearchSummary& s) {
-  std::printf("{\"bench\": \"B%d\", \"threshold\": %.3f, \"variant\": \"%s\", "
-              "\"search_seconds\": %.3f, \"finetuned\": %d, \"filtered\": %d, "
-              "\"cache_hits\": %d, \"stage_sample_s\": %.3f, \"stage_verify_s\": %.3f, "
-              "\"stage_profile_s\": %.3f, \"stage_finetune_s\": %.3f, \"stage_score_s\": %.3f}\n",
-              bench, threshold, variant.c_str(), s.search_seconds, s.candidates_finetuned,
-              s.candidates_filtered, s.cache_hits, s.stage_seconds.sample, s.stage_seconds.verify,
-              s.stage_seconds.profile, s.stage_seconds.finetune, s.stage_seconds.score);
-  std::fflush(stdout);
+  gmorph::bench::EmitJsonLine(gmorph::bench::JsonLine()
+                                  .Key("bench").String(gmorph::bench::BenchId(bench))
+                                  .Key("threshold").Fixed(threshold, 3)
+                                  .Key("variant").String(variant)
+                                  .Key("search_seconds").Fixed(s.search_seconds, 3)
+                                  .Key("finetuned").Int(s.candidates_finetuned)
+                                  .Key("filtered").Int(s.candidates_filtered)
+                                  .Key("cache_hits").Int(s.cache_hits)
+                                  .Key("stage_sample_s").Fixed(s.stage_seconds.sample, 3)
+                                  .Key("stage_verify_s").Fixed(s.stage_seconds.verify, 3)
+                                  .Key("stage_profile_s").Fixed(s.stage_seconds.profile, 3)
+                                  .Key("stage_finetune_s").Fixed(s.stage_seconds.finetune, 3)
+                                  .Key("stage_score_s").Fixed(s.stage_seconds.score, 3));
 }
 
 }  // namespace

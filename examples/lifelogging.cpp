@@ -55,7 +55,7 @@ int main() {
 
   // Deploy the fused model on both engines.
   MultiTaskModel fused(result.best_graph, rng);
-  const Shape input = result.best_graph.node(0).output_shape;
+  const Tensor input = Tensor::Zeros(result.best_graph.node(0).output_shape.WithBatch(1));
   auto eager = MakeEngine(EngineKind::kEager, &fused);
   auto optimized = MakeEngine(EngineKind::kFused, &fused);
   std::printf("\ndeployment latency: eager %.2f ms, graph-optimized %.2f ms\n",

@@ -1,5 +1,6 @@
 #include "src/analysis/driver.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -23,8 +24,6 @@
 
 namespace gmorph {
 namespace {
-
-using obs::JsonEscape;
 
 // One baseline entry: an exact (rule id, node path) pair a previous run
 // acknowledged. The file format is one finding per line — the rule id, one
@@ -311,80 +310,66 @@ std::string RenderAnalysisText(const AnalysisReport& report) {
 }
 
 std::string RenderAnalysisJson(const AnalysisReport& report) {
-  std::ostringstream os;
-  os << "{\"file\": \"" << JsonEscape(report.input_path) << "\", \"kind\": \""
-     << JsonEscape(report.input_kind) << "\", \"exit_code\": " << report.exit_code()
-     << ", \"errors\": " << (report.unreadable ? 0 : report.diags.error_count())
-     << ", \"suppressed\": " << report.suppressed_baseline + report.suppressed_wno
-     << ", \"promoted\": " << report.promoted;
+  obs::JsonWriter w(obs::kSpacedJson);
+  w.BeginObject().Key("file").String(report.input_path).Key("kind").String(report.input_kind);
+  w.Key("exit_code").Int(report.exit_code());
+  w.Key("errors").Int(report.unreadable ? 0 : report.diags.error_count());
+  w.Key("suppressed").Int(report.suppressed_baseline + report.suppressed_wno);
+  w.Key("promoted").Int(report.promoted);
   if (report.unreadable) {
-    os << ", \"unreadable\": \"" << JsonEscape(report.unreadable_reason) << "\"";
+    w.Key("unreadable").String(report.unreadable_reason);
   }
-  os << ", \"diagnostics\": [";
-  bool first = true;
+  w.Key("diagnostics").BeginArray();
   for (const Diagnostic& d : report.diags.items()) {
-    if (!first) {
-      os << ", ";
-    }
-    first = false;
-    os << "{\"severity\": \"" << SeverityName(d.severity) << "\", \"rule\": \""
-       << JsonEscape(d.rule_id) << "\", \"path\": \"" << JsonEscape(d.node_path)
-       << "\", \"message\": \"" << JsonEscape(d.message) << "\"}";
+    w.BeginObject().Key("severity").String(SeverityName(d.severity));
+    w.Key("rule").String(d.rule_id).Key("path").String(d.node_path);
+    w.Key("message").String(d.message).EndObject();
   }
-  os << "]}\n";
-  return os.str();
+  w.EndArray().EndObject();
+  return w.Take() + "\n";
 }
 
 std::string RenderAnalysisSarif(const AnalysisReport& report) {
-  // Minimal valid SARIF 2.1.0: one run, the fired rules in tool.driver.rules,
-  // one result per diagnostic with the node path as a logical location.
+  // Minimal valid SARIF 2.1.0: one run, the fired rules in tool.driver.rules
+  // (in order of first firing), one result per diagnostic with the node path
+  // as a logical location.
   std::vector<std::string> rule_ids;
-  const auto rule_index = [&](const std::string& id) {
-    for (size_t i = 0; i < rule_ids.size(); ++i) {
-      if (rule_ids[i] == id) {
-        return static_cast<int>(i);
-      }
-    }
-    rule_ids.push_back(id);
-    return static_cast<int>(rule_ids.size()) - 1;
-  };
-  std::ostringstream results;
-  bool first = true;
   for (const Diagnostic& d : report.diags.items()) {
-    const int index = rule_index(d.rule_id);
-    if (!first) {
-      results << ", ";
+    if (std::find(rule_ids.begin(), rule_ids.end(), d.rule_id) == rule_ids.end()) {
+      rule_ids.push_back(d.rule_id);
     }
-    first = false;
-    results << "{\"ruleId\": \"" << JsonEscape(d.rule_id) << "\", \"ruleIndex\": " << index
-            << ", \"level\": \"" << SarifLevel(d.severity) << "\", \"message\": {\"text\": \""
-            << JsonEscape(d.message) << "\"}, \"locations\": [{\"physicalLocation\": "
-            << "{\"artifactLocation\": {\"uri\": \"" << JsonEscape(report.input_path)
-            << "\"}}, \"logicalLocations\": [{\"fullyQualifiedName\": \""
-            << JsonEscape(d.node_path) << "\"}]}]}";
   }
-  std::ostringstream rules;
-  first = true;
+  obs::JsonWriter w(obs::kSpacedJson);
+  w.BeginObject().Key("$schema").String(
+      "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/"
+      "sarif-schema-2.1.0.json");
+  w.Key("version").String("2.1.0").Key("runs").BeginArray().BeginObject();
+  w.Key("tool").BeginObject().Key("driver").BeginObject().Key("name").String("gmorph");
+  w.Key("rules").BeginArray();
   for (const std::string& id : rule_ids) {
-    if (!first) {
-      rules << ", ";
-    }
-    first = false;
-    rules << "{\"id\": \"" << JsonEscape(id) << "\"";
+    w.BeginObject().Key("id").String(id);
     if (const RuleInfo* info = FindRule(id)) {
-      rules << ", \"shortDescription\": {\"text\": \"" << JsonEscape(info->description)
-            << "\"}, \"defaultConfiguration\": {\"level\": \""
-            << SarifLevel(info->default_severity) << "\"}";
+      w.Key("shortDescription").BeginObject().Key("text").String(info->description).EndObject();
+      w.Key("defaultConfiguration").BeginObject();
+      w.Key("level").String(SarifLevel(info->default_severity)).EndObject();
     }
-    rules << "}";
+    w.EndObject();
   }
-  std::ostringstream os;
-  os << "{\"$schema\": "
-        "\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/"
-        "sarif-schema-2.1.0.json\", \"version\": \"2.1.0\", \"runs\": [{\"tool\": "
-        "{\"driver\": {\"name\": \"gmorph\", \"rules\": ["
-     << rules.str() << "]}}, \"results\": [" << results.str() << "]}]}\n";
-  return os.str();
+  w.EndArray().EndObject().EndObject().Key("results").BeginArray();
+  for (const Diagnostic& d : report.diags.items()) {
+    w.BeginObject().Key("ruleId").String(d.rule_id);
+    w.Key("ruleIndex").Int(std::find(rule_ids.begin(), rule_ids.end(), d.rule_id) -
+                           rule_ids.begin());
+    w.Key("level").String(SarifLevel(d.severity));
+    w.Key("message").BeginObject().Key("text").String(d.message).EndObject();
+    w.Key("locations").BeginArray().BeginObject().Key("physicalLocation").BeginObject();
+    w.Key("artifactLocation").BeginObject().Key("uri").String(report.input_path).EndObject();
+    w.EndObject().Key("logicalLocations").BeginArray().BeginObject();
+    w.Key("fullyQualifiedName").String(d.node_path).EndObject().EndArray();
+    w.EndObject().EndArray().EndObject();
+  }
+  w.EndArray().EndObject().EndArray().EndObject();
+  return w.Take() + "\n";
 }
 
 std::string RenderAnalysis(const AnalysisReport& report, AnalysisFormat format) {

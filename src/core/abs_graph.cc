@@ -39,12 +39,6 @@ AbsGraph AbsGraph::WithRoot(const Shape& input_shape, int num_tasks) {
   return g;
 }
 
-AbsGraph AbsGraph::FromNodes(std::vector<AbsNode> nodes, int num_tasks) {
-  AbsGraph g = FromNodesUnchecked(std::move(nodes), num_tasks);
-  g.Validate();
-  return g;
-}
-
 AbsGraph AbsGraph::FromNodesUnchecked(std::vector<AbsNode> nodes, int num_tasks) {
   AbsGraph g;
   g.nodes_ = std::move(nodes);

@@ -60,12 +60,8 @@ class AbsGraph {
   // Creates a graph containing only the input placeholder root.
   static AbsGraph WithRoot(const Shape& input_shape, int num_tasks);
 
-  // Reassembles a graph from raw nodes (deserialization); validates.
-  static AbsGraph FromNodes(std::vector<AbsNode> nodes, int num_tasks);
-
-  // Reassembles without validating. For the deserializer and the static
-  // verifier, which diagnose malformed graphs instead of throwing; every
-  // other caller wants FromNodes.
+  // Reassembles a graph from raw nodes without validating: the deserializer
+  // and the static verifier diagnose malformed graphs instead of throwing.
   static AbsGraph FromNodesUnchecked(std::vector<AbsNode> nodes, int num_tasks);
 
   int num_tasks() const { return num_tasks_; }

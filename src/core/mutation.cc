@@ -4,10 +4,6 @@
 
 namespace gmorph {
 
-std::string MutationKindName(MutationKind kind) {
-  return kind == MutationKind::kInBranch ? "in-branch" : "cross-branch";
-}
-
 MutationKind ClassifyMutation(const AbsGraph& g, const SharePair& pair) {
   // In-branch: the pair lies on one root->leaf path (host above guest; the
   // opposite order is structurally invalid).

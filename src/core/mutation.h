@@ -22,8 +22,6 @@ namespace gmorph {
 
 enum class MutationKind { kInBranch, kCrossBranch };
 
-std::string MutationKindName(MutationKind kind);
-
 // Classifies a (valid) pair before it is applied.
 MutationKind ClassifyMutation(const AbsGraph& g, const SharePair& pair);
 

@@ -247,8 +247,6 @@ const TuneDb::Entry* TuneDb::Lookup(const ProblemDesc& desc) const {
   return it == entries_.end() ? nullptr : &it->second;
 }
 
-bool TuneDb::Contains(const ProblemDesc& desc) const { return Lookup(desc) != nullptr; }
-
 void TuneDb::Record(const ProblemDesc& desc, Entry entry) {
   entry.resolved = SolverRegistry::Global().FindForDesc(desc, entry.solver);
   std::unique_lock<std::shared_mutex> lock(mutex_);
@@ -258,13 +256,6 @@ void TuneDb::Record(const ProblemDesc& desc, Entry entry) {
 int64_t TuneDb::size() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
   return static_cast<int64_t>(entries_.size());
-}
-
-void TuneDb::ForEach(const std::function<void(const ProblemDesc&, const Entry&)>& fn) const {
-  std::shared_lock<std::shared_mutex> lock(mutex_);
-  for (const auto& [desc, entry] : entries_) {
-    fn(desc, entry);
-  }
 }
 
 std::string ResolveTuneDbPath(const std::string& override_path) {

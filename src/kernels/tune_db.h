@@ -37,7 +37,6 @@
 #ifndef GMORPH_SRC_KERNELS_TUNE_DB_H_
 #define GMORPH_SRC_KERNELS_TUNE_DB_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -82,10 +81,8 @@ class TuneDb {
   bool Save(const std::string& path) const;
 
   const Entry* Lookup(const ProblemDesc& desc) const;
-  bool Contains(const ProblemDesc& desc) const;
   void Record(const ProblemDesc& desc, Entry entry);
   int64_t size() const;
-  void ForEach(const std::function<void(const ProblemDesc&, const Entry&)>& fn) const;
 
   TuneDb(const TuneDb&) = delete;
   TuneDb& operator=(const TuneDb&) = delete;

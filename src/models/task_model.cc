@@ -37,12 +37,6 @@ std::vector<Parameter*> TaskModel::Parameters() {
   return out;
 }
 
-void TaskModel::ZeroGrad() {
-  for (auto& m : modules_) {
-    m->ZeroGrad();
-  }
-}
-
 std::vector<std::vector<Tensor>> TaskModel::ExportWeights() const {
   std::vector<std::vector<Tensor>> out;
   out.reserve(modules_.size());

@@ -24,7 +24,6 @@ class TaskModel {
   Tensor Backward(const Tensor& grad_out);
 
   std::vector<Parameter*> Parameters();
-  void ZeroGrad();
 
   const ModelSpec& spec() const { return spec_; }
   size_t num_blocks() const { return modules_.size(); }

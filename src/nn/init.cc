@@ -12,10 +12,4 @@ Tensor HeInit(const Shape& shape, int64_t fan_in, Rng& rng) {
   return Tensor::RandomGaussian(shape, rng, stddev);
 }
 
-Tensor XavierInit(const Shape& shape, int64_t fan_in, int64_t fan_out, Rng& rng) {
-  GMORPH_CHECK(fan_in > 0 && fan_out > 0);
-  const float bound = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  return Tensor::RandomUniform(shape, rng, -bound, bound);
-}
-
 }  // namespace gmorph

@@ -10,9 +10,6 @@ namespace gmorph {
 // Kaiming-He normal init for ReLU networks: N(0, sqrt(2 / fan_in)).
 Tensor HeInit(const Shape& shape, int64_t fan_in, Rng& rng);
 
-// Xavier/Glorot uniform init: U(±sqrt(6 / (fan_in + fan_out))).
-Tensor XavierInit(const Shape& shape, int64_t fan_in, int64_t fan_out, Rng& rng);
-
 }  // namespace gmorph
 
 #endif  // GMORPH_SRC_NN_INIT_H_

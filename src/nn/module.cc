@@ -30,18 +30,6 @@ void Module::ZeroGrad() {
   }
 }
 
-void Module::CopyParametersFrom(const Module& src) {
-  auto dst_params = Parameters();
-  auto src_params = const_cast<Module&>(src).Parameters();
-  GMORPH_CHECK(dst_params.size() == src_params.size(),
-                   "parameter count mismatch copying into " << Name());
-  for (size_t i = 0; i < dst_params.size(); ++i) {
-    GMORPH_CHECK(dst_params[i]->value.shape() == src_params[i]->value.shape(),
-                     "parameter shape mismatch at " << dst_params[i]->name);
-    dst_params[i]->value = src_params[i]->value.Clone();
-  }
-}
-
 std::vector<Tensor> Module::ExportParameters() const {
   std::vector<Tensor> out;
   Module* self = const_cast<Module*>(this);

@@ -59,9 +59,6 @@ class Module {
   int64_t ParamCount() const;
   void ZeroGrad();
 
-  // Copies parameter values from `src` (same structure required).
-  void CopyParametersFrom(const Module& src);
-
   // Exports parameter values followed by buffer values (deep copies).
   std::vector<Tensor> ExportParameters() const;
   // Imports a list produced by ExportParameters. Accepts either parameters

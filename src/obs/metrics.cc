@@ -1,12 +1,8 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
 
 #include "src/common/check.h"
 #include "src/obs/json.h"
@@ -34,12 +30,6 @@ void AtomicMax(std::atomic<double>& a, double v) {
   double cur = a.load(std::memory_order_relaxed);
   while (v > cur && !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-}
-
-std::string FormatDouble(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
 }
 
 }  // namespace
@@ -195,57 +185,25 @@ std::string MetricsRegistry::ToJson() const {
   }
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mutex);
-  std::string out = "{\"counters\":{";
-  bool first = true;
+  JsonWriter w(kCompactJson);
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, counter] : i.counters) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendJsonString(out, name);
-    out += ':';
-    out += std::to_string(counter->Value());
+    w.Key(name).Int(counter->Value());
   }
-  out += "},\"gauges\":{";
-  first = true;
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, gauge] : i.gauges) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendJsonString(out, name);
-    out += ':';
-    out += FormatDouble(gauge->Value());
+    w.Key(name).Number(gauge->Value());
   }
-  out += "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, hist] : i.histograms) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    AppendJsonString(out, name);
-    out += ":{\"count\":" + std::to_string(hist->Count());
-    out += ",\"sum\":" + FormatDouble(hist->Sum());
-    out += ",\"min\":" + FormatDouble(hist->Min());
-    out += ",\"max\":" + FormatDouble(hist->Max());
-    out += ",\"mean\":" + FormatDouble(hist->Mean());
-    out += ",\"p50\":" + FormatDouble(hist->Quantile(0.50));
-    out += ",\"p95\":" + FormatDouble(hist->Quantile(0.95));
-    out += ",\"p99\":" + FormatDouble(hist->Quantile(0.99));
-    out += '}';
+    w.Key(name).BeginObject().Key("count").Int(hist->Count()).Key("sum").Number(hist->Sum());
+    w.Key("min").Number(hist->Min()).Key("max").Number(hist->Max());
+    w.Key("mean").Number(hist->Mean()).Key("p50").Number(hist->Quantile(0.50));
+    w.Key("p95").Number(hist->Quantile(0.95)).Key("p99").Number(hist->Quantile(0.99));
+    w.EndObject();
   }
-  out += "}}";
-  return out;
-}
-
-bool MetricsRegistry::WriteJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return static_cast<bool>(out);
+  w.EndObject().EndObject();
+  return w.Take();
 }
 
 void MetricsRegistry::Reset() {
@@ -264,34 +222,16 @@ void MetricsRegistry::Reset() {
 
 namespace {
 
-std::string g_exit_metrics_path;
-
-void WriteMetricsAtExitHook() {
-  if (!g_exit_metrics_path.empty()) {
-    MetricsRegistry::Global().WriteJson(g_exit_metrics_path);
-  }
-}
+std::string RenderMetricsLine() { return MetricsRegistry::Global().ToJson() + "\n"; }
 
 }  // namespace
 
 void WriteMetricsJsonAtExit(const std::string& path) {
-  static bool registered = false;
-  if (!registered) {
-    registered = true;
-    std::atexit(WriteMetricsAtExitHook);
-  }
-  g_exit_metrics_path = path;
+  WriteJsonFileAtExit(path, RenderMetricsLine);
 }
 
 bool InitMetricsFromEnv() {
-  static const bool armed = [] {
-    const char* path = std::getenv("GMORPH_METRICS");
-    if (path == nullptr || path[0] == '\0') {
-      return false;
-    }
-    WriteMetricsJsonAtExit(path);
-    return true;
-  }();
+  static const bool armed = ArmFromEnv("GMORPH_METRICS", WriteMetricsJsonAtExit);
   return armed;
 }
 

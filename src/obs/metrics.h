@@ -90,7 +90,6 @@ class MetricsRegistry {
   //   {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
   //    "sum":..,"min":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..}}}
   std::string ToJson() const;
-  bool WriteJson(const std::string& path) const;
 
   // Zeroes every registered instrument (tests; instruments stay registered).
   void Reset();

@@ -1,14 +1,10 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
@@ -93,12 +89,6 @@ ThreadRing* CurrentRing() {
     registry.rings.push_back(std::move(ring));
   }
   return t_ring;
-}
-
-void AppendMicros(std::string& out, double us) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.3f", us);
-  out += buf;
 }
 
 }  // namespace
@@ -280,11 +270,14 @@ std::string TraceToJson() {
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
 
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\"traceEvents\":[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"gmorph\"}}";
+  JsonWriter w(kCompactJson);
+  w.BeginObject().Key("traceEvents").BeginArray();
+  const auto metadata = [&](const char* name, int tid, const std::string& value) {
+    w.LineBreak().BeginObject().Key("name").String(name).Key("ph").String("M");
+    w.Key("pid").Int(1).Key("tid").Int(tid);
+    w.Key("args").BeginObject().Key("name").String(value).EndObject().EndObject();
+  };
+  metadata("process_name", 0, "gmorph");
 
   // Thread-name metadata: named rings, unnamed rings that recorded anything,
   // and virtual lanes.
@@ -294,19 +287,11 @@ std::string TraceToJson() {
     if (ring->name.empty() && !has_events) {
       continue;
     }
-    std::string name = ring->name.empty() ? "thread-" + std::to_string(ring->tid) : ring->name;
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    out += std::to_string(ring->tid);
-    out += ",\"args\":{\"name\":";
-    AppendJsonString(out, name);
-    out += "}}";
+    metadata("thread_name", ring->tid,
+             ring->name.empty() ? "thread-" + std::to_string(ring->tid) : ring->name);
   }
   for (const auto& [tid, name] : registry.virtual_lanes) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":";
-    out += std::to_string(tid);
-    out += ",\"args\":{\"name\":";
-    AppendJsonString(out, name);
-    out += "}}";
+    metadata("thread_name", tid, name);
   }
 
   for (const auto& ring : registry.rings) {
@@ -314,52 +299,30 @@ std::string TraceToJson() {
     size_t dropped = 0;
     CollectRing(*ring, events, dropped);
     for (const TraceEvent* e : events) {
-      out += ",\n{\"name\":";
-      AppendJsonString(out, std::string_view(e->name, e->name_len));
-      out += ",\"cat\":\"";
-      out += TraceCatName(e->cat);
-      out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":";
-      out += std::to_string(e->virtual_tid >= 0 ? e->virtual_tid : ring->tid);
-      out += ",\"ts\":";
-      AppendMicros(out, static_cast<double>(e->start_ns) * 1e-3);
-      out += ",\"dur\":";
-      AppendMicros(out, static_cast<double>(e->dur_ns) * 1e-3);
-      out += "}";
+      w.LineBreak().BeginObject().Key("name").String(std::string_view(e->name, e->name_len));
+      w.Key("cat").String(TraceCatName(e->cat)).Key("ph").String("X").Key("pid").Int(1);
+      w.Key("tid").Int(e->virtual_tid >= 0 ? e->virtual_tid : ring->tid);
+      w.Key("ts").Fixed(static_cast<double>(e->start_ns) * 1e-3, 3);
+      w.Key("dur").Fixed(static_cast<double>(e->dur_ns) * 1e-3, 3).EndObject();
     }
   }
-  out += "\n],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
+  w.LineBreak().EndArray().Key("displayTimeUnit").String("ms").EndObject();
+  return w.Take() + "\n";
 }
 
-bool WriteTraceJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << TraceToJson();
-  return static_cast<bool>(out);
-}
+bool WriteTraceJson(const std::string& path) { return WriteJsonFile(path, TraceToJson()); }
 
 namespace {
 
-std::string g_exit_trace_path;  // set once before the atexit hook registers
-
-void WriteTraceAtExitHook() {
+std::string StopAndRenderTrace() {
   StopTracing();
-  if (!g_exit_trace_path.empty()) {
-    WriteTraceJson(g_exit_trace_path);
-  }
+  return TraceToJson();
 }
 
 }  // namespace
 
 void WriteTraceJsonAtExit(const std::string& path) {
-  static bool registered = false;
-  if (!registered) {
-    registered = true;
-    std::atexit(WriteTraceAtExitHook);
-  }
-  g_exit_trace_path = path;
+  WriteJsonFileAtExit(path, StopAndRenderTrace);
   if (t_ring == nullptr || t_ring->name.empty()) {
     SetCurrentThreadName("main");
   }
@@ -367,14 +330,7 @@ void WriteTraceJsonAtExit(const std::string& path) {
 }
 
 bool InitTracingFromEnv() {
-  static const bool armed = [] {
-    const char* path = std::getenv("GMORPH_TRACE");
-    if (path == nullptr || path[0] == '\0') {
-      return false;
-    }
-    WriteTraceJsonAtExit(path);
-    return true;
-  }();
+  static const bool armed = ArmFromEnv("GMORPH_TRACE", WriteTraceJsonAtExit);
   return armed;
 }
 

@@ -27,14 +27,4 @@ const TensorRange* CalibrationObserver::Range(int64_t seq) const {
   return it == ranges_.end() ? nullptr : &it->second;
 }
 
-ActQuant CalibrationObserver::ActFor(int64_t seq) const {
-  const TensorRange* r = Range(seq);
-  return r == nullptr ? ActQuant{} : ActQuantFromRange(*r);
-}
-
-int64_t CalibrationObserver::num_observed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int64_t>(ranges_.size());
-}
-
 }  // namespace gmorph::quant

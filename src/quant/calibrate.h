@@ -24,11 +24,6 @@ class CalibrationObserver {
   // Range for a step, or nullptr if that step was never observed.
   const TensorRange* Range(int64_t seq) const;
 
-  // u8 asymmetric parameters for a step (identity scale when unobserved).
-  ActQuant ActFor(int64_t seq) const;
-
-  int64_t num_observed() const;
-
  private:
   mutable std::mutex mutex_;
   std::map<int64_t, TensorRange> ranges_;

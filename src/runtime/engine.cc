@@ -26,12 +26,6 @@ EngineReplica MakeEngineReplica(EngineKind kind, const AbsGraph& graph, uint64_t
   return replica;
 }
 
-double MeasureEngineLatencyMs(InferenceEngine& engine, const Shape& per_sample_input,
-                              int64_t batch, int warmup, int repeats) {
-  Tensor input = Tensor::Zeros(per_sample_input.WithBatch(batch));
-  return MeasureEngineLatencyMs(engine, input, warmup, repeats);
-}
-
 double MeasureEngineLatencyMs(InferenceEngine& engine, const Tensor& input, int warmup,
                               int repeats) {
   return MedianTimedMs([&] { engine.Run(input); }, warmup, repeats);

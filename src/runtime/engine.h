@@ -69,15 +69,11 @@ struct EngineReplica {
 // parameters the graph does not pin).
 EngineReplica MakeEngineReplica(EngineKind kind, const AbsGraph& graph, uint64_t seed = 42);
 
-// Median wall-clock latency (ms) of `engine` on a zero batch of `batch` rows.
-// Shares the warmup/median logic with MeasureLatencyMs (src/obs/timing.h),
-// so search-time and engine-bench latencies are measured identically.
-double MeasureEngineLatencyMs(InferenceEngine& engine, const Shape& per_sample_input,
-                              int64_t batch = 1, int warmup = 1, int repeats = 5);
-
-// Variant over a caller-owned input batch: the tensor is allocated once by the
-// caller and reused across every warmup and measured run (used by the serving
-// simulator's per-batch-size calibration).
+// Median wall-clock latency (ms) of `engine` over `repeats` runs after
+// `warmup` untimed ones, on a caller-owned input batch reused by every run.
+// It runs the same MedianTimedMs loop (src/obs/timing.h) as MeasureLatencyMs
+// (src/core/latency.h), so search-time and engine latencies are measured
+// identically.
 double MeasureEngineLatencyMs(InferenceEngine& engine, const Tensor& input, int warmup = 1,
                               int repeats = 5);
 

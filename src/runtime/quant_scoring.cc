@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "src/data/eval.h"
-#include "src/obs/timing.h"
+#include "src/runtime/engine.h"
 #include "src/runtime/fused_engine.h"
 
 namespace gmorph {
@@ -83,8 +83,8 @@ QuantOutcome ScoreQuantizedEngine(MultiTaskModel& model, const MultiTaskDataset&
                                 .node(model.graph().root())
                                 .output_shape.WithBatch(options.latency.batch_size);
   const Tensor input = Tensor::Zeros(input_shape);
-  out.latency_ms = MedianTimedMs([&] { engine.Run(input); }, options.latency.warmup_runs,
-                                 options.latency.measured_runs);
+  out.latency_ms = MeasureEngineLatencyMs(engine, input, options.latency.warmup_runs,
+                                          options.latency.measured_runs);
   return out;
 }
 

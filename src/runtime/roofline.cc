@@ -17,30 +17,6 @@ std::string Fmt(const char* format, double v) {
   return buf;
 }
 
-void AppendJsonNumber(std::string& out, const char* key, double v, bool* first) {
-  if (!*first) {
-    out += ',';
-  }
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
-
-void AppendJsonString(std::string& out, const char* key, const std::string& v, bool* first) {
-  if (!*first) {
-    out += ',';
-  }
-  *first = false;
-  out += '"';
-  out += key;
-  out += "\":";
-  obs::AppendJsonString(out, v);
-}
-
 }  // namespace
 
 RooflineReport BuildRooflineReport(const std::vector<FusedEngine::StepProfile>& profile,
@@ -145,61 +121,37 @@ std::string RooflineReportText(const RooflineReport& report) {
 }
 
 std::string RooflineReportJson(const RooflineReport& report) {
-  std::string out = "{";
-  bool first = true;
-  AppendJsonString(out, "report", "roofline", &first);
-  AppendJsonNumber(out, "batch", static_cast<double>(report.batch), &first);
-  AppendJsonNumber(out, "runs", report.runs, &first);
-  AppendJsonNumber(out, "total_ms", report.total_ms, &first);
-  out += ",\"machine\":{";
-  bool mfirst = true;
-  AppendJsonNumber(out, "peak_gflops", report.ceilings.peak_gflops, &mfirst);
-  AppendJsonNumber(out, "triad_gbps", report.ceilings.triad_gbps, &mfirst);
-  AppendJsonNumber(out, "ridge_intensity", report.ceilings.RidgeIntensity(), &mfirst);
-  AppendJsonNumber(out, "threads", report.ceilings.threads, &mfirst);
-  out += '}';
-  out += ",\"counters_available\":";
-  out += report.counters_available ? "true" : "false";
+  // Every number, counts included, prints as %.6g.
+  obs::JsonWriter w(obs::kCompactJson);
+  w.BeginObject().Key("report").String("roofline");
+  w.Key("batch").Number(static_cast<double>(report.batch)).Key("runs").Number(report.runs);
+  w.Key("total_ms").Number(report.total_ms).Key("machine").BeginObject();
+  w.Key("peak_gflops").Number(report.ceilings.peak_gflops);
+  w.Key("triad_gbps").Number(report.ceilings.triad_gbps);
+  w.Key("ridge_intensity").Number(report.ceilings.RidgeIntensity());
+  w.Key("threads").Number(report.ceilings.threads).EndObject();
+  w.Key("counters_available").Bool(report.counters_available);
   if (!report.counters_available) {
-    out += ',';
-    bool efirst = true;
-    AppendJsonString(out, "counters_error", report.counters_error, &efirst);
+    w.Key("counters_error").String(report.counters_error);
   }
-  out += ",\"steps\":[";
-  for (size_t i = 0; i < report.steps.size(); ++i) {
-    const RooflineStep& s = report.steps[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += '{';
-    bool sf = true;
-    AppendJsonString(out, "label", s.label, &sf);
-    AppendJsonString(out, "solver", s.solver, &sf);
-    AppendJsonNumber(out, "node", s.node, &sf);
-    AppendJsonNumber(out, "calls", static_cast<double>(s.calls), &sf);
-    AppendJsonNumber(out, "total_ms", s.total_ms, &sf);
-    AppendJsonNumber(out, "ms_per_call", s.ms_per_call, &sf);
-    AppendJsonNumber(out, "flops_per_call", s.flops_per_call, &sf);
-    AppendJsonNumber(out, "bytes_per_call", s.bytes_per_call, &sf);
-    AppendJsonNumber(out, "gflops", s.gflops, &sf);
-    AppendJsonNumber(out, "gbps", s.gbps, &sf);
-    AppendJsonNumber(out, "intensity", s.intensity, &sf);
-    AppendJsonNumber(out, "ipc", s.ipc, &sf);
-    AppendJsonNumber(out, "llc_miss_rate", s.llc_miss_rate, &sf);
-    AppendJsonNumber(out, "branch_mpki", s.branch_mpki, &sf);
-    AppendJsonString(out, "bound", s.bound, &sf);
-    AppendJsonNumber(out, "pct_of_roof", s.pct_of_roof, &sf);
-    out += '}';
+  w.Key("steps").BeginArray();
+  for (const RooflineStep& s : report.steps) {
+    w.BeginObject().Key("label").String(s.label).Key("solver").String(s.solver);
+    w.Key("node").Number(s.node).Key("calls").Number(static_cast<double>(s.calls));
+    w.Key("total_ms").Number(s.total_ms).Key("ms_per_call").Number(s.ms_per_call);
+    w.Key("flops_per_call").Number(s.flops_per_call);
+    w.Key("bytes_per_call").Number(s.bytes_per_call);
+    w.Key("gflops").Number(s.gflops).Key("gbps").Number(s.gbps);
+    w.Key("intensity").Number(s.intensity).Key("ipc").Number(s.ipc);
+    w.Key("llc_miss_rate").Number(s.llc_miss_rate).Key("branch_mpki").Number(s.branch_mpki);
+    w.Key("bound").String(s.bound).Key("pct_of_roof").Number(s.pct_of_roof).EndObject();
   }
-  out += "],\"hot\":[";
-  for (size_t i = 0; i < report.hot.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += std::to_string(report.hot[i]);
+  w.EndArray().Key("hot").BeginArray();
+  for (const int i : report.hot) {
+    w.Int(i);
   }
-  out += "]}";
-  return out;
+  w.EndArray().EndObject();
+  return w.Take();
 }
 
 }  // namespace gmorph

@@ -1,10 +1,8 @@
 #include "src/serving/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <mutex>
+
+#include "src/obs/json.h"
 
 namespace gmorph {
 namespace internal {
@@ -130,58 +128,35 @@ std::vector<FlightEvent> FlightRecorderSnapshot() {
 
 std::string FlightRecorderToJson() {
   const std::vector<FlightEvent> events = FlightRecorderSnapshot();
-  std::string out = "{\"flight_recorder\":{\"capacity\":" + std::to_string(kCapacity);
-  out += ",\"recorded\":" + std::to_string(FlightTotalRecorded());
-  out += ",\"dropped\":" + std::to_string(FlightDroppedCount());
-  out += ",\"events\":[";
-  char buf[160];
-  for (size_t i = 0; i < events.size(); ++i) {
-    const FlightEvent& e = events[i];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"seq\":%llu,\"kind\":\"%s\",\"t_ms\":%.6g,\"request\":%lld,"
-                  "\"aux\":%lld}",
-                  i > 0 ? "," : "", static_cast<unsigned long long>(e.seq),
-                  FlightEventKindName(e.kind), e.t_ms, static_cast<long long>(e.request),
-                  static_cast<long long>(e.aux));
-    out += buf;
+  obs::JsonWriter w(obs::kCompactJson);
+  w.BeginObject().Key("flight_recorder").BeginObject().Key("capacity").Int(kCapacity);
+  w.Key("recorded").Int(FlightTotalRecorded()).Key("dropped").Int(FlightDroppedCount());
+  w.Key("events").BeginArray();
+  for (const FlightEvent& e : events) {
+    w.BeginObject().Key("seq").Int(e.seq).Key("kind").String(FlightEventKindName(e.kind));
+    w.Key("t_ms").Number(e.t_ms).Key("request").Int(e.request).Key("aux").Int(e.aux);
+    w.EndObject();
   }
-  out += "]}}";
-  return out;
+  w.EndArray().EndObject().EndObject();
+  return w.Take();
 }
 
 bool WriteFlightRecorderJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << FlightRecorderToJson() << "\n";
-  return static_cast<bool>(out);
+  return obs::WriteJsonFile(path, FlightRecorderToJson() + "\n");
 }
 
 namespace {
 
-std::mutex g_atexit_mutex;
-std::string* g_atexit_path = nullptr;
-
-void DumpAtExit() {
-  std::lock_guard<std::mutex> lock(g_atexit_mutex);
-  if (g_atexit_path != nullptr) {
-    StopFlightRecorder();
-    WriteFlightRecorderJson(*g_atexit_path);
-  }
+std::string StopAndRenderFlightRecorder() {
+  StopFlightRecorder();
+  return FlightRecorderToJson() + "\n";
 }
 
 }  // namespace
 
 void WriteFlightRecorderJsonAtExit(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_atexit_mutex);
   StartFlightRecorder();
-  if (g_atexit_path == nullptr) {
-    g_atexit_path = new std::string(path);
-    std::atexit(DumpAtExit);
-  } else {
-    *g_atexit_path = path;
-  }
+  obs::WriteJsonFileAtExit(path, StopAndRenderFlightRecorder);
 }
 
 }  // namespace gmorph

@@ -97,12 +97,6 @@ void AxpyInPlace(Tensor& y, float alpha, const Tensor& x) {
   });
 }
 
-Tensor Scale(const Tensor& a, float s) {
-  Tensor out = a.Clone();
-  ScaleInPlace(out, s);
-  return out;
-}
-
 // The three public GEMMs are thin shims over the solver registry: build the
 // logical descriptor, resolve (tuned winner if a tuning DB is loaded, else
 // the shape heuristic), run. No dispatch thresholds live here anymore.

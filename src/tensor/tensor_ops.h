@@ -32,7 +32,6 @@ Tensor Mul(const Tensor& a, const Tensor& b);
 void AddInPlace(Tensor& a, const Tensor& b);    // a += b
 void ScaleInPlace(Tensor& a, float s);          // a *= s
 void AxpyInPlace(Tensor& y, float alpha, const Tensor& x);  // y += alpha * x
-Tensor Scale(const Tensor& a, float s);
 
 // ---- Raw GEMM cores (contiguous row-major) ----
 // C[m,n] = A[m,k] * B[k,n]          (+= if accumulate)

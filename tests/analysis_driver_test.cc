@@ -442,6 +442,86 @@ TEST(RendererTest, SarifCarriesRuleMetadataFromTheRegistry) {
   EXPECT_NE(sarif.find(info->description), std::string::npos);
 }
 
+// Byte pins for the JSON and SARIF renderers: one finding of each severity,
+// a rule fired twice, a rule the registry does not know, and paths and
+// messages holding a quote, a backslash, a tab, a newline and \x01.
+AnalysisReport MixedReport() {
+  AnalysisReport report;
+  report.input_path = "dir/pl\"an\\x\t.plan";
+  report.input_kind = "plan";
+  report.suppressed_baseline = 1;
+  report.suppressed_wno = 2;
+  report.promoted = 1;
+  report.diags.Error("plan.buffer.overlap", "buffer 0") << "values v1\nand v2 overlap";
+  report.diags.Warning("plan.value.unused", "value \"v7\"") << "unused \x01 entry";
+  report.diags.Note("test.unregistered", "path\\with\\backslash") << "tab\there";
+  report.diags.Error("plan.buffer.overlap", "buffer 1") << "again";
+  return report;
+}
+
+AnalysisReport UnreadableReport() {
+  AnalysisReport report;
+  report.input_path = "missing\n.plan";
+  report.unreadable = true;
+  report.unreadable_reason = "cannot open \"missing\"\t[\\]";
+  return report;
+}
+
+TEST(RendererTest, JsonPinsEveryByte) {
+  EXPECT_EQ(RenderAnalysisJson(MixedReport()),
+            R"({"file": "dir/pl\"an\\x\t.plan", "kind": "plan", "exit_code": 1, )"
+            R"("errors": 2, "suppressed": 3, "promoted": 1, "diagnostics": [)"
+            R"({"severity": "error", "rule": "plan.buffer.overlap", "path": "buffer 0", )"
+            R"("message": "values v1\nand v2 overlap"}, )"
+            R"({"severity": "warning", "rule": "plan.value.unused", "path": "value \"v7\"", )"
+            R"("message": "unused \u0001 entry"}, )"
+            R"({"severity": "note", "rule": "test.unregistered", )"
+            R"("path": "path\\with\\backslash", "message": "tab\there"}, )"
+            R"({"severity": "error", "rule": "plan.buffer.overlap", "path": "buffer 1", )"
+            R"("message": "again"}]})"
+            "\n");
+  EXPECT_EQ(RenderAnalysisJson(UnreadableReport()),
+            R"({"file": "missing\n.plan", "kind": "", "exit_code": 2, "errors": 0, )"
+            R"("suppressed": 0, "promoted": 0, )"
+            R"("unreadable": "cannot open \"missing\"\t[\\]", "diagnostics": []})"
+            "\n");
+}
+
+TEST(RendererTest, SarifPinsEveryByte) {
+  const std::string head =
+      R"({"$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/)"
+      R"(Schemata/sarif-schema-2.1.0.json", "version": "2.1.0", "runs": [{"tool": )"
+      R"({"driver": {"name": "gmorph", "rules": [)";
+  const RuleInfo* overlap = FindRule("plan.buffer.overlap");
+  const RuleInfo* unused = FindRule("plan.value.unused");
+  ASSERT_NE(overlap, nullptr);
+  ASSERT_NE(unused, nullptr);
+  const std::string location =
+      R"(, "locations": [{"physicalLocation": {"artifactLocation": )"
+      R"({"uri": "dir/pl\"an\\x\t.plan"}}, "logicalLocations": [{"fullyQualifiedName": )";
+  EXPECT_EQ(RenderAnalysisSarif(MixedReport()),
+            head + R"({"id": "plan.buffer.overlap", "shortDescription": {"text": ")" +
+                overlap->description +
+                R"("}, "defaultConfiguration": {"level": "error"}}, )"
+                R"({"id": "plan.value.unused", "shortDescription": {"text": ")" +
+                unused->description +
+                R"("}, "defaultConfiguration": {"level": "warning"}}, )"
+                R"({"id": "test.unregistered"}]}}, "results": [)"
+                R"({"ruleId": "plan.buffer.overlap", "ruleIndex": 0, "level": "error", )"
+                R"("message": {"text": "values v1\nand v2 overlap"})" +
+                location + R"("buffer 0"}]}]}, )"
+                R"({"ruleId": "plan.value.unused", "ruleIndex": 1, "level": "warning", )"
+                R"("message": {"text": "unused \u0001 entry"})" +
+                location + R"("value \"v7\""}]}]}, )"
+                R"({"ruleId": "test.unregistered", "ruleIndex": 2, "level": "note", )"
+                R"("message": {"text": "tab\there"})" +
+                location + R"("path\\with\\backslash"}]}]}, )"
+                R"({"ruleId": "plan.buffer.overlap", "ruleIndex": 0, "level": "error", )"
+                R"("message": {"text": "again"})" +
+                location + R"("buffer 1"}]}]}]}]})" + "\n");
+  EXPECT_EQ(RenderAnalysisSarif(UnreadableReport()), head + R"(]}}, "results": []}]})" + "\n");
+}
+
 TEST(RendererTest, SarifAndTextAgreeOnFiredRuleIds) {
   const AnalysisReport report = OverlapReport();
   const std::string text = RenderAnalysisText(report);

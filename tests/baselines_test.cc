@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "src/core/model_parser.h"
+#include "src/core/multitask_model.h"
 #include "src/data/benchmarks.h"
 #include "src/data/teacher.h"
+#include "tests/test_util.h"
 
 namespace gmorph {
 namespace {
@@ -131,10 +136,22 @@ TEST(TreeMtlTest, RecommendsSomeSharing) {
   EXPECT_GE(result.shared_blocks, 1);
   EXPECT_LE(result.shared_blocks, 3);  // B4's common prefix is 3 blocks
   // Sharing a prefix strictly reduces compute; assert on the deterministic
-  // FLOPs ratio. The wall-clock ratio at this tiny scale sits within timer
-  // noise, so only sanity-check it.
+  // FLOPs ratio.
   EXPECT_GE(result.flops_speedup, 1.0);
-  EXPECT_GE(result.speedup, 0.9);
+  // result.speedup divides two 3-run medians taken at different times, so a
+  // burst of host load during either one flips it; only check it is a ratio.
+  EXPECT_TRUE(std::isfinite(result.speedup));
+  EXPECT_GT(result.speedup, 0.0);
+  // The wall-clock check times both models interleaved, so host load hits
+  // them alike.
+  MultiTaskModel original(ParseTaskModels(AsConstPtrs(teachers)), rng);
+  MultiTaskModel recommended(result.graph, rng);
+  const Tensor x = Tensor::Zeros(result.graph.node(result.graph.root()).output_shape.WithBatch(1));
+  const auto [original_ms, recommended_ms] = testing::InterleavedMediansMs(
+      [&] { original.Forward(x, /*training=*/false); },
+      [&] { recommended.Forward(x, /*training=*/false); }, /*runs=*/31);
+  EXPECT_GE(original_ms / recommended_ms, 0.9) << original_ms << " ms / " << recommended_ms
+                                               << " ms";
 }
 
 }  // namespace

@@ -156,5 +156,18 @@ TEST_F(FlightRecorderTest, JsonDumpRoundTripsThroughAFile) {
   std::remove(path.c_str());
 }
 
+TEST_F(FlightRecorderTest, JsonDumpPinsEveryByte) {
+  StartFlightRecorder();
+  RecordFlightEvent(FlightEventKind::kAdmit, 1.5, 3);
+  RecordFlightEvent(FlightEventKind::kBatchFormed, 2.25, 4, 1);
+  RecordFlightEvent(FlightEventKind::kDone, 1234567.0, 3, 1);
+  StopFlightRecorder();
+  EXPECT_EQ(FlightRecorderToJson(),
+            R"({"flight_recorder":{"capacity":65536,"recorded":3,"dropped":0,"events":[)"
+            R"({"seq":0,"kind":"admit","t_ms":1.5,"request":3,"aux":-1},)"
+            R"({"seq":1,"kind":"batch-formed","t_ms":2.25,"request":4,"aux":1},)"
+            R"({"seq":2,"kind":"done","t_ms":1.23457e+06,"request":3,"aux":1}]}})");
+}
+
 }  // namespace
 }  // namespace gmorph

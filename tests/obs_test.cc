@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +158,74 @@ TEST_F(ObsTraceExportTest, ManualSpansLandOnNamedVirtualLanes) {
   EXPECT_EQ(request->tid, 2001);
   EXPECT_DOUBLE_EQ(request->ts_us, 1000.0);
   EXPECT_DOUBLE_EQ(request->dur_us, 250.0);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// Byte pins for the trace export. Other suites' rings stay registered, so the
+// records are matched as exact substrings rather than as the whole file.
+TEST_F(ObsTraceExportTest, JsonPinsEnvelopeLaneAndSpanBytes) {
+  obs::StartTracing();
+  obs::SetVirtualLaneName(2001, "sim/test-lane");
+  obs::SetVirtualLaneName(2002, "lane \"q\"\t2");
+  obs::RecordManualSpan("request", obs::TraceCat::kServing, /*ts_us=*/1000.0,
+                        /*dur_us=*/250.0, /*virtual_tid=*/2001);
+  obs::RecordManualSpan("batch \"b\"", obs::TraceCat::kBench, 0.5, 0.25, 2002);
+  int named_tid = -1;
+  int unnamed_tid = -1;
+  std::thread named([&] {
+    obs::SetCurrentThreadName("pin-worker");
+    named_tid = obs::CurrentThreadIndex();
+  });
+  named.join();
+  std::thread unnamed([&] {
+    unnamed_tid = obs::CurrentThreadIndex();
+    obs::RecordManualSpan("on-ring", obs::TraceCat::kOther, 2.0, 3.0, /*virtual_tid=*/-1);
+  });
+  unnamed.join();
+  obs::StopTracing();
+
+  const std::string json = obs::TraceToJson();
+  const std::string head =
+      "{\"traceEvents\":[\n"
+      R"({"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"gmorph"}})";
+  EXPECT_EQ(json.rfind(head, 0), 0u) << json;
+  const std::string tail = "}\n],\"displayTimeUnit\":\"ms\"}\n";
+  ASSERT_GE(json.size(), tail.size());
+  EXPECT_EQ(json.substr(json.size() - tail.size()), tail);
+  const std::string u = std::to_string(unnamed_tid);
+  for (const std::string& record : {
+           std::string(R"({"name":"thread_name","ph":"M","pid":1,"tid":2001,)"
+                       R"("args":{"name":"sim/test-lane"}})"),
+           std::string(R"({"name":"thread_name","ph":"M","pid":1,"tid":2002,)"
+                       R"("args":{"name":"lane \"q\"\t2"}})"),
+           R"({"name":"thread_name","ph":"M","pid":1,"tid":)" + std::to_string(named_tid) +
+               R"(,"args":{"name":"pin-worker"}})",
+           R"({"name":"thread_name","ph":"M","pid":1,"tid":)" + u +
+               R"(,"args":{"name":"thread-)" + u + R"("}})",
+           std::string(R"({"name":"request","cat":"serving","ph":"X","pid":1,"tid":2001,)"
+                       R"("ts":1000.000,"dur":250.000})"),
+           std::string(R"({"name":"batch \"b\"","cat":"bench","ph":"X","pid":1,"tid":2002,)"
+                       R"("ts":0.500,"dur":0.250})"),
+           R"({"name":"on-ring","cat":"other","ph":"X","pid":1,"tid":)" + u +
+               R"(,"ts":2.000,"dur":3.000})"}) {
+    // Each record opens a line and ends where the next one's comma starts.
+    const size_t at = json.find(",\n" + record);
+    ASSERT_NE(at, std::string::npos) << record << "\n" << json;
+    const char next = json[at + 2 + record.size()];
+    EXPECT_TRUE(next == ',' || next == '\n') << record;
+  }
+
+  // The file holds the export verbatim, with no newline added.
+  const std::string path = ::testing::TempDir() + "/obs_trace_pin.json";
+  ASSERT_TRUE(obs::WriteTraceJson(path));
+  EXPECT_EQ(ReadFile(path), json);
+  std::remove(path.c_str());
 }
 
 TEST_F(ObsTraceExportTest, AccumulateSpanFeedsProfileWhileTracingOff) {
@@ -336,6 +406,42 @@ TEST(MetricsRegistryTest, SnapshotEscapesControlCharactersInNames) {
   EXPECT_NE(json.find("\"test.obs_ctl\\n\\u0001end\":1"), std::string::npos) << json;
   EXPECT_EQ(json.find("obs_ctl\n"), std::string::npos);
   c.Reset();
+}
+
+// `"name":value` must appear as one whole member of a snapshot section.
+void ExpectMember(const std::string& json, const std::string& member) {
+  const size_t at = json.find(member);
+  ASSERT_NE(at, std::string::npos) << member << "\n" << json;
+  ASSERT_GT(at, 0u);
+  EXPECT_TRUE(json[at - 1] == '{' || json[at - 1] == ',') << member;
+  const char next = json[at + member.size()];
+  EXPECT_TRUE(next == ',' || next == '}') << member;
+}
+
+// Byte pins for the metrics snapshot: integers for counters, %.6g for gauges
+// and every histogram field.
+TEST(MetricsRegistryTest, SnapshotPinsInstrumentBytes) {
+  obs::Counter& c = obs::GetCounter("test.pin_counter");
+  c.Reset();
+  c.Increment(7);
+  obs::GetGauge("test.pin_gauge").Set(0.1234567);
+  obs::Histogram& h = obs::GetHistogram("test.pin_hist", {1.0, 2.0, 4.0});
+  h.Reset();
+  for (const double v : {0.5, 1.5, 3.0, 10.0}) {
+    h.Observe(v);
+  }
+  const std::string json = obs::MetricsRegistry::Global().ToJson();
+  EXPECT_EQ(json.rfind("{\"counters\":{", 0), 0u) << json;
+  EXPECT_NE(json.find("},\"gauges\":{"), std::string::npos);
+  EXPECT_NE(json.find("},\"histograms\":{"), std::string::npos);
+  EXPECT_EQ(json.substr(json.size() - 2), "}}");
+  ExpectMember(json, R"("test.pin_counter":7)");
+  ExpectMember(json, R"("test.pin_gauge":0.123457)");
+  ExpectMember(json, R"("test.pin_hist":{"count":4,"sum":15,"min":0.5,"max":10,"mean":3.75,)"
+                     R"("p50":3,"p95":9.1,"p99":9.82})");
+  c.Reset();
+  obs::GetGauge("test.pin_gauge").Reset();
+  h.Reset();
 }
 
 TEST(ObsTimingTest, MonotonicNowAdvances) {

@@ -356,6 +356,67 @@ TEST(RooflineReportTest, JsonEscapesControlCharactersInLabels) {
   EXPECT_EQ(json.find("conv\n"), std::string::npos);
 }
 
+// Byte pin over a hand-built report (BuildRooflineReport reads the host's
+// counters): every number prints as %.6g, counts included, so a million
+// calls take the exponent form.
+TEST(RooflineReportTest, JsonPinsEveryByte) {
+  RooflineReport report;
+  report.ceilings.peak_gflops = 74.5;
+  report.ceilings.triad_gbps = 10.5;
+  report.ceilings.threads = 4;
+  report.counters_available = false;
+  report.counters_error = "perf_event_open: \"denied\"\n";
+  report.batch = 8;
+  report.runs = 10;
+  report.total_ms = 1.2345678;
+  RooflineStep conv;
+  conv.label = "conv 3->8 +relu";
+  conv.solver = "gemm.direct";
+  conv.node = 2;
+  conv.calls = 1234567;
+  conv.total_ms = 0.5;
+  conv.ms_per_call = 4.05e-7;
+  conv.flops_per_call = 1.8e6;
+  conv.bytes_per_call = 65536;
+  conv.gflops = 44.4;
+  conv.gbps = 1.6;
+  conv.intensity = 27.4658;
+  conv.llc_miss_rate = 0.125;
+  conv.branch_mpki = 2.5;
+  conv.bound = "compute";
+  conv.pct_of_roof = 59.6;
+  RooflineStep head;
+  head.label = "linear\t64";
+  head.node = 7;
+  head.calls = 3;
+  head.total_ms = 0.7345678;
+  head.bound = "opaque";
+  report.steps = {conv, head};
+  report.hot = {1, 0};
+  EXPECT_EQ(RooflineReportJson(report),
+            R"({"report":"roofline","batch":8,"runs":10,"total_ms":1.23457,)"
+            R"("machine":{"peak_gflops":74.5,"triad_gbps":10.5,"ridge_intensity":7.09524,)"
+            R"("threads":4},"counters_available":false,)"
+            R"("counters_error":"perf_event_open: \"denied\"\n","steps":[)"
+            R"({"label":"conv 3->8 +relu","solver":"gemm.direct","node":2,"calls":1.23457e+06,)"
+            R"("total_ms":0.5,"ms_per_call":4.05e-07,"flops_per_call":1.8e+06,)"
+            R"("bytes_per_call":65536,"gflops":44.4,"gbps":1.6,"intensity":27.4658,"ipc":0,)"
+            R"("llc_miss_rate":0.125,"branch_mpki":2.5,"bound":"compute","pct_of_roof":59.6},)"
+            R"({"label":"linear\t64","solver":"","node":7,"calls":3,"total_ms":0.734568,)"
+            R"("ms_per_call":0,"flops_per_call":0,"bytes_per_call":0,"gflops":0,"gbps":0,)"
+            R"("intensity":0,"ipc":0,"llc_miss_rate":0,"branch_mpki":0,"bound":"opaque",)"
+            R"("pct_of_roof":0}],"hot":[1,0]})");
+
+  RooflineReport empty;
+  empty.ceilings = TestCeilings();
+  empty.counters_available = true;
+  empty.counters_error = "not printed when counters are available";
+  EXPECT_EQ(RooflineReportJson(empty),
+            R"({"report":"roofline","batch":1,"runs":0,"total_ms":0,)"
+            R"("machine":{"peak_gflops":100,"triad_gbps":10,"ridge_intensity":10,"threads":1},)"
+            R"("counters_available":true,"steps":[],"hot":[]})");
+}
+
 TEST(ProcStatsTest, ReadsProcessMemoryFromProc) {
   obs::ProcessMemory mem;
   ASSERT_TRUE(obs::ReadProcessMemory(&mem));

@@ -134,11 +134,12 @@
 #include "src/kernels/autotune.h"
 #include "src/kernels/machine.h"
 #include "src/kernels/tune_db.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/perf_counters.h"
-#include "src/obs/timing.h"
 #include "src/obs/trace.h"
 #include "src/quant/recipe.h"
+#include "src/runtime/engine.h"
 #include "src/runtime/fused_engine.h"
 #include "src/runtime/quant_scoring.h"
 #include "src/runtime/roofline.h"
@@ -338,11 +339,7 @@ int ProfileMode(const gmorph::Config& config) {
 
   const std::string json_path = config.GetString("profile_json", "");
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (out) {
-      out << RooflineReportJson(report) << "\n";
-    }
-    if (!out) {
+    if (!obs::WriteJsonFile(json_path, RooflineReportJson(report) + "\n")) {
       std::fprintf(stderr, "profile: cannot write %s\n", json_path.c_str());
       return 2;
     }
@@ -441,7 +438,7 @@ int QuantizeMode(const gmorph::Config& config) {
   const std::vector<double> f32_scores = EngineEvaluateMultiTask(engine, def.test, batch);
   const Shape input_shape = graph.node(graph.root()).output_shape.WithBatch(batch);
   const Tensor input = Tensor::Zeros(input_shape);
-  const double f32_ms = MedianTimedMs([&] { engine.Run(input); }, 1, 5);
+  const double f32_ms = MeasureEngineLatencyMs(engine, input, /*warmup=*/1, /*repeats=*/5);
 
   // Calibrate on slices of the representative (train) inputs.
   std::vector<Tensor> calib;
@@ -470,7 +467,7 @@ int QuantizeMode(const gmorph::Config& config) {
   }
 
   const std::vector<double> int8_scores = EngineEvaluateMultiTask(engine, def.test, batch);
-  const double int8_ms = MedianTimedMs([&] { engine.Run(input); }, 1, 5);
+  const double int8_ms = MeasureEngineLatencyMs(engine, input, /*warmup=*/1, /*repeats=*/5);
   std::printf("latency (batch %lld): f32 %.3f ms -> int8 %.3f ms (%.2fx)\n",
               static_cast<long long>(batch), f32_ms, int8_ms,
               int8_ms > 0.0 ? f32_ms / int8_ms : 0.0);
