@@ -172,6 +172,27 @@ void BenchNarrowConv(Rng& rng, const char* name, int64_t batch, int64_t c, int64
             &per_sample);
 }
 
+// One of infer-b1's wide convs (3x3, stride 1, pad 1, ReLU epilogue), as the
+// fused engine runs it: Conv2dForwardInto on the resolved solver, which on
+// gemm.direct reads im2col in place. At batch 1 the line also shows the
+// per-call set-up.
+void BenchWideConv(Rng& rng, const char* name, int64_t batch, int64_t c, int64_t hw, int64_t o) {
+  Conv2dArgs args;
+  args.padding = 1;
+  Tensor x = Tensor::RandomGaussian(Shape{batch, c, hw, hw}, rng);
+  Tensor w = Tensor::RandomGaussian(Shape{o, c, 3, 3}, rng, 0.1f);
+  Tensor b = Tensor::Zeros(Shape{o});
+  Tensor out(Shape{batch, o, hw, hw});
+  BenchResult fwd = Run([&] { Conv2dForwardInto(x, w, b, args, out, nullptr, true); });
+  char shape[96];
+  std::snprintf(shape, sizeof(shape), "n%lld c%lld %lldx%lld o%lld k3",
+                static_cast<long long>(batch), static_cast<long long>(c),
+                static_cast<long long>(hw), static_cast<long long>(hw),
+                static_cast<long long>(o));
+  PrintLine(std::string("conv_wide_") + name, shape, 2.0 * batch * o * c * 9 * hw * hw, fwd,
+            nullptr);
+}
+
 void BenchAttention(Rng& rng, int64_t batch, int64_t t, int64_t dim, int64_t heads) {
   MultiHeadSelfAttention attn(dim, heads, rng);
   Tensor x = Tensor::RandomGaussian(Shape{batch, t, dim}, rng);
@@ -366,9 +387,15 @@ void Main(const std::string& dtype_filter) {
     // at base width 4, batch 16): 4->4 at 32x32 and 32->32 at 4x4.
     BenchConv(rng, "vgg13_c2", 16, 4, 32, 4, 3, 1, 1);
     BenchConv(rng, "vgg13_c8", 16, 32, 4, 32, 3, 1, 1);
-    // infer-b1's narrow convs, at batch 1 and 8.
+    // infer-b1's wide and narrow convs, at batch 1 and 8.
     for (const int64_t batch : {1, 8}) {
       const std::string n = "_n" + std::to_string(batch);
+      BenchWideConv(rng, ("c3_32x32_o8" + n).c_str(), batch, 3, 32, 8);
+      BenchWideConv(rng, ("c8_32x32_o8" + n).c_str(), batch, 8, 32, 8);
+      BenchWideConv(rng, ("c8_16x16_o16" + n).c_str(), batch, 8, 16, 16);
+      BenchWideConv(rng, ("c16_16x16_o16" + n).c_str(), batch, 16, 16, 16);
+      BenchWideConv(rng, ("c16_8x8_o32" + n).c_str(), batch, 16, 8, 32);
+      BenchWideConv(rng, ("c32_8x8_o32" + n).c_str(), batch, 32, 8, 32);
       BenchNarrowConv(rng, ("c32_4x4" + n).c_str(), batch, 32, 4, 64);
       BenchNarrowConv(rng, ("c64_4x4" + n).c_str(), batch, 64, 4, 64);
       BenchNarrowConv(rng, ("c64_2x2" + n).c_str(), batch, 64, 2, 64);

@@ -147,13 +147,19 @@ void CheckNodes(const AbsGraph& g, DiagnosticList& diags) {
             << "stored capacity " << n.capacity << " but spec has " << capacity;
       }
       if (!n.weights.empty()) {
+        // Module::ImportParameters takes the parameters alone or followed
+        // by the buffers (BatchNorm running statistics).
         int64_t total = 0;
         for (const Tensor& w : n.weights) {
           total += w.size();
         }
-        if (total != capacity) {
-          diags.Error("graph.weights.mismatch", path)
-              << "carries " << total << " weight elements for capacity " << capacity;
+        const int64_t buffers = BlockBufferElements(n.spec);
+        if (total != capacity && total != capacity + buffers) {
+          DiagnosticBuilder d = diags.Error("graph.weights.mismatch", path);
+          d << "carries " << total << " weight elements for capacity " << capacity;
+          if (buffers > 0) {
+            d << " (" << capacity + buffers << " with its buffers)";
+          }
         }
       }
     } catch (const CheckError& e) {

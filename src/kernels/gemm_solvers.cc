@@ -5,9 +5,13 @@
 // thread count (work is chunked on fixed grains, never on the worker count).
 #include <algorithm>
 #include <cstring>
+#include <limits>
+#include <numeric>
 
+#include "src/common/check.h"
 #include "src/common/parallel_for.h"
 #include "src/kernels/builtin_solvers.h"
+#include "src/kernels/inplace_conv.h"
 #include "src/kernels/scratch.h"
 #include "src/kernels/solver.h"
 
@@ -19,6 +23,8 @@ namespace gmorph::kernels {
 namespace {
 
 #define GMORPH_RESTRICT __restrict__
+// The tile's policy hooks: inlined, so its accumulators stay in registers.
+#define GMORPH_INLINE __attribute__((always_inline)) inline
 
 // Transpose tile: 8 x 8 floats, one ymm register per row on AVX builds.
 constexpr int64_t kTB = 8;
@@ -91,49 +97,201 @@ bool IsGemmFamily(const ProblemDesc& desc) {
 
 // ---- Direct (unpacked) wide path -----------------------------------------
 
-// MR rows x nr <= kNR cols of C; A is read through scalar broadcasts so any
-// strides work, B rows must be contiguous (cs == 1). Each element sums its k
-// products in order from zero (one FMA each under -ffp-contract=fast), then
-// is stored or added to C, whatever the tile height and the column count.
+// The direct tile computes MR rows x nr <= kNR cols of C. Each element sums
+// its k products in order from zero (one FMA each under -ffp-contract=fast),
+// then its epilogue runs and it is stored, whatever the tile height and the
+// column count. Operands and epilogue are policies, so the plain GEMM and
+// the in-place conv operands (inplace_conv.h) run one register tile:
+//   A rows   DenseA: a strided view, read through scalar broadcasts, so any
+//            strides work. PixelTapA: A[s, p] = image[pixel[s] + tap[p]].
+//   B cols   DenseB: rows ldb apart, contiguous (cs == 1). ShiftedRowsB:
+//            row p = (ch, kh, kw) of a "same" conv's im2col, read from the
+//            padded sample with per-kw lane masks.
+//   epilogue StoreC: store, or add to C. ConvEpi: bias, then skip, then the
+//            ReLU clamp, as ConvEpilogue (conv_ops.cc) applies them.
+// The in-place forms exist on AVX-512 builds only; the portable tile runs
+// the dense policies.
+
+struct DenseA {
+  const float* a;
+  int64_t rs;
+  int64_t cs;
+  template <int MR>
+  DenseA Rows(int64_t i) const {
+    return {a + i * rs, rs, cs};
+  }
+  float at(int r, int64_t p) const { return a[r * rs + p * cs]; }
+};
+
+struct DenseBCols {
+  const float* b;
+  int64_t ldb;
+  int64_t nr;
+  // The tile's k loop walks rows(k) rows of taps() consecutive B rows each;
+  // B row q * taps() + t starts at row(q) + t.
+  int64_t rows(int64_t k) const { return k; }
+  static constexpr int64_t taps() { return 1; }
+  const float* row(int64_t q) const { return b + q * ldb; }
+};
+
+struct DenseB {
+  const float* b;
+  int64_t ldb;
+  DenseBCols Cols(int64_t j, int64_t nr) const { return {b + j, ldb, nr}; }
+};
+
+struct StoreC {
+  bool accumulate;
+  StoreC Rows(int64_t /*i*/, int64_t /*j*/) const { return *this; }
+};
+
 #if defined(__AVX512F__)
 // Two zmm accumulators per row, 16 at MR = 8, with intrinsics: on recent
 // Intel cores GCC prefers 256-bit vectors, and the portable loop below then
 // keeps 32 ymm accumulators and spills 5 of them on every k step. Here the k
 // loop touches no stack memory. A column tail (nr < kNR) masks its lanes.
 static_assert(kNR == 32, "the zmm tile holds two 16-float vectors per row");
+
+// The lanes of a column tile nr <= kNR wide.
+struct LaneMasks {
+  __mmask16 lo;
+  __mmask16 hi;
+};
+GMORPH_INLINE LaneMasks SplitMask(uint32_t lanes) {
+  return {_cvtu32_mask16(lanes & 0xFFFFu), _cvtu32_mask16(lanes >> 16)};
+}
+GMORPH_INLINE uint32_t TailLanes(int64_t nr) { return nr >= kNR ? ~0u : (1u << nr) - 1u; }
+
+// The lanes B row q * taps() + t loads: the column tail for dense B.
+GMORPH_INLINE LaneMasks TapMask(const DenseBCols& b, int64_t /*t*/) {
+  return SplitMask(TailLanes(b.nr));
+}
+
+// MR pixel rows of an in-place im2row: each row's pointer is formed once per
+// tile, each tap offset once per k step.
 template <int MR>
-void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t acs,
-                const float* GMORPH_RESTRICT b, int64_t ldb, float* GMORPH_RESTRICT c,
-                int64_t ldc, int64_t nr, bool accumulate) {
-  const __mmask16 lo = _cvtu32_mask16(nr >= 16 ? 0xFFFFu : (1u << nr) - 1u);
-  const __mmask16 hi = _cvtu32_mask16(nr >= kNR ? 0xFFFFu : nr > 16 ? (1u << (nr - 16)) - 1u : 0u);
+struct PixelTapRows {
+  const float* px[MR];
+  const int32_t* tap;
+  float at(int r, int64_t p) const { return px[r][tap[p]]; }
+};
+
+struct PixelTapA {
+  PixelTapOperand op;
+  template <int MR>
+  PixelTapRows<MR> Rows(int64_t i) const {
+    PixelTapRows<MR> rows{};
+    for (int r = 0; r < MR; ++r) {
+      rows.px[r] = op.image + op.pixel[i + r];
+    }
+    rows.tap = op.tap;
+    return rows;
+  }
+};
+
+// One column tile of a "same" conv's im2col. Its k loop walks the (ch, kh)
+// input rows, and each row's kernel taps: B row (ch, kh, kw) at the tile's
+// first pixel starts at base + row_off[ch * kernel + kh] + kw, and its lanes
+// are masked per kw (tail lanes included).
+struct ShiftedRowsCols {
+  const float* base;
+  const int32_t* row_off;
+  int64_t kernel;
+  int64_t nr;
+  LaneMasks lanes[SameConvOperand::kMaxKernel];  // per kw
+  int64_t rows(int64_t k) const { return k / kernel; }
+  int64_t taps() const { return kernel; }
+  const float* row(int64_t q) const { return base + row_off[q]; }
+};
+GMORPH_INLINE LaneMasks TapMask(const ShiftedRowsCols& b, int64_t t) { return b.lanes[t]; }
+
+struct ShiftedRowsB {
+  const float* image;  // channel 0's plane, P zero rows first
+  const int32_t* row_off;
+  int64_t kernel;
+  int64_t pad;
+  int64_t period;
+  const uint32_t* masks;
+  ShiftedRowsCols Cols(int64_t j, int64_t nr) const {
+    ShiftedRowsCols cols{image + j - pad, row_off, kernel, nr, {}};
+    const uint32_t* pattern = masks + (j / kNR) % period * kernel;
+    const uint32_t tail = TailLanes(nr);
+    for (int64_t kw = 0; kw < kernel; ++kw) {
+      cols.lanes[kw] = SplitMask(pattern[kw] & tail);
+    }
+    return cols;
+  }
+};
+
+struct ConvEpi {
+  const float* bias;
+  const float* skip;
+  int64_t ldskip;
+  bool relu;
+  ConvEpi Rows(int64_t i, int64_t j) const {
+    return {bias == nullptr ? nullptr : bias + i,
+            skip == nullptr ? nullptr : skip + i * ldskip + j, ldskip, relu};
+  }
+};
+
+// The epilogues, on row r's accumulators before the store.
+GMORPH_INLINE void Finish(const StoreC& epi, int /*r*/, const float* cr, LaneMasks m,
+                          __m512& a0, __m512& a1) {
+  if (epi.accumulate) {
+    a0 = _mm512_add_ps(_mm512_maskz_loadu_ps(m.lo, cr), a0);
+    a1 = _mm512_add_ps(_mm512_maskz_loadu_ps(m.hi, cr + 16), a1);
+  }
+}
+GMORPH_INLINE void Finish(const ConvEpi& epi, int r, const float* /*cr*/, LaneMasks m,
+                          __m512& a0, __m512& a1) {
+  if (epi.bias != nullptr) {
+    const __m512 bv = _mm512_set1_ps(epi.bias[r]);
+    a0 = _mm512_add_ps(a0, bv);
+    a1 = _mm512_add_ps(a1, bv);
+  }
+  if (epi.skip != nullptr) {
+    const float* sr = epi.skip + r * epi.ldskip;
+    a0 = _mm512_add_ps(a0, _mm512_maskz_loadu_ps(m.lo, sr));
+    a1 = _mm512_add_ps(a1, _mm512_maskz_loadu_ps(m.hi, sr + 16));
+  }
+  if (epi.relu) {
+    // x > 0.0f ? x : 0.0f, lane by lane: NaN and -0.0f clamp to +0.0f.
+    const __m512 zero = _mm512_setzero_ps();
+    a0 = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(a0, zero, _CMP_GT_OQ), a0);
+    a1 = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(a1, zero, _CMP_GT_OQ), a1);
+  }
+}
+
+template <int MR, class ARows, class BCols, class Epi>
+void DirectTile(int64_t k, const ARows& a, const BCols& b, float* c, int64_t ldc,
+                const Epi& epi) {
   __m512 acc[MR][2];
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
     acc[r][0] = _mm512_setzero_ps();
     acc[r][1] = _mm512_setzero_ps();
   }
-  for (int64_t p = 0; p < k; ++p) {
-    const __m512 b0 = _mm512_maskz_loadu_ps(lo, b + p * ldb);
-    const __m512 b1 = _mm512_maskz_loadu_ps(hi, b + p * ldb + 16);
-  #pragma GCC unroll 8
-  for (int r = 0; r < MR; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r * ars + p * acs]);
-      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+  const int64_t rows = b.rows(k);
+  for (int64_t q = 0, p = 0; q < rows; ++q) {
+    const float* row = b.row(q);
+    for (int64_t t = 0; t < b.taps(); ++t, ++p) {
+      const LaneMasks m = TapMask(b, t);
+      const __m512 b0 = _mm512_maskz_loadu_ps(m.lo, row + t);
+      const __m512 b1 = _mm512_maskz_loadu_ps(m.hi, row + t + 16);
+#pragma GCC unroll 8
+      for (int r = 0; r < MR; ++r) {
+        const __m512 av = _mm512_set1_ps(a.at(r, p));
+        acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
+        acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+      }
     }
   }
-  if (accumulate) {
-  #pragma GCC unroll 8
-  for (int r = 0; r < MR; ++r) {
-      acc[r][0] = _mm512_add_ps(_mm512_maskz_loadu_ps(lo, c + r * ldc), acc[r][0]);
-      acc[r][1] = _mm512_add_ps(_mm512_maskz_loadu_ps(hi, c + r * ldc + 16), acc[r][1]);
-    }
-  }
+  const LaneMasks m = SplitMask(TailLanes(b.nr));
 #pragma GCC unroll 8
   for (int r = 0; r < MR; ++r) {
-    _mm512_mask_storeu_ps(c + r * ldc, lo, acc[r][0]);
-    _mm512_mask_storeu_ps(c + r * ldc + 16, hi, acc[r][1]);
+    Finish(epi, r, c + r * ldc, m, acc[r][0], acc[r][1]);
+    _mm512_mask_storeu_ps(c + r * ldc, m.lo, acc[r][0]);
+    _mm512_mask_storeu_ps(c + r * ldc + 16, m.hi, acc[r][1]);
   }
 }
 #else
@@ -163,12 +321,16 @@ void DirectRowStrip(int64_t k, const float* a, int64_t acs, const float* b, int6
 // Full strips: the j loop over kNR auto-vectorizes (no branches, restrict
 // pointers, fixed trip count). A column tail runs row by row.
 template <int MR>
-void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t acs,
-                const float* GMORPH_RESTRICT b, int64_t ldb, float* GMORPH_RESTRICT c,
-                int64_t ldc, int64_t nr, bool accumulate) {
-  if (nr < kNR) {
+void DirectTile(int64_t k, const DenseA& av, const DenseBCols& bv, float* GMORPH_RESTRICT c,
+                int64_t ldc, const StoreC& epi) {
+  const float* GMORPH_RESTRICT a = av.a;
+  const int64_t ars = av.rs;
+  const int64_t acs = av.cs;
+  const float* GMORPH_RESTRICT b = bv.b;
+  const int64_t ldb = bv.ldb;
+  if (bv.nr < kNR) {
     for (int r = 0; r < MR; ++r) {
-      DirectRowStrip(k, a + r * ars, acs, b, ldb, nr, c + r * ldc, accumulate);
+      DirectRowStrip(k, a + r * ars, acs, b, ldb, bv.nr, c + r * ldc, epi.accumulate);
     }
     return;
   }
@@ -187,7 +349,7 @@ void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t 
   for (int r = 0; r < MR; ++r) {
     float* GMORPH_RESTRICT cr = c + r * ldc;
     const float* GMORPH_RESTRICT ar = acc + r * kNR;
-    if (accumulate) {
+    if (epi.accumulate) {
       for (int j = 0; j < kNR; ++j) {
         cr[j] += ar[j];
       }
@@ -200,10 +362,11 @@ void DirectTile(int64_t k, const float* GMORPH_RESTRICT a, int64_t ars, int64_t 
 }
 #endif
 
-// C[M,N] over a B whose rows are contiguous; no packing, so only worthwhile
-// when the working set is cache-resident.
-void GemmWideDirect(int64_t m, int64_t k, int64_t n, const MatView& a, const float* b,
-                    int64_t ldb, float* c, bool accumulate) {
+// C[M,N] (row-major, ldc = N) over the policies; no packing, so only
+// worthwhile when the working set is cache-resident.
+template <class A, class B, class Epi>
+void DirectGemm(int64_t m, int64_t k, int64_t n, const A& a, const B& b, const Epi& epi,
+                float* c) {
   // Whole 8-row tiles per chunk; the tile height never changes an element's
   // sum, so neither does the grain.
   const int64_t row_flops = std::max<int64_t>(1, 2 * k * n);
@@ -211,22 +374,25 @@ void GemmWideDirect(int64_t m, int64_t k, int64_t n, const MatView& a, const flo
   const int64_t grain = std::max(kRowGrain, (min_rows + kDirectMR - 1) / kDirectMR * kDirectMR);
   ParallelFor(0, m, grain, [&](int64_t row_lo, int64_t row_hi) {
     for (int64_t jr = 0; jr < n; jr += kNR) {
-      const int64_t nr = std::min(kNR, n - jr);
+      const auto cols = b.Cols(jr, std::min(kNR, n - jr));
       int64_t ir = row_lo;
       for (; ir + kDirectMR <= row_hi; ir += kDirectMR) {
-        DirectTile<kDirectMR>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
-                              accumulate);
+        DirectTile<kDirectMR>(k, a.template Rows<kDirectMR>(ir), cols, c + ir * n + jr, n,
+                              epi.Rows(ir, jr));
       }
       for (; ir + 4 <= row_hi; ir += 4) {
-        DirectTile<4>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
-                      accumulate);
+        DirectTile<4>(k, a.template Rows<4>(ir), cols, c + ir * n + jr, n, epi.Rows(ir, jr));
       }
       for (; ir < row_hi; ++ir) {
-        DirectTile<1>(k, a.at(ir, 0), a.rs, a.cs, b + jr, ldb, c + ir * n + jr, n, nr,
-                      accumulate);
+        DirectTile<1>(k, a.template Rows<1>(ir), cols, c + ir * n + jr, n, epi.Rows(ir, jr));
       }
     }
   });
+}
+
+void GemmWideDirect(int64_t m, int64_t k, int64_t n, const MatView& a, const float* b,
+                    int64_t ldb, float* c, bool accumulate) {
+  DirectGemm(m, k, n, DenseA{a.data, a.rs, a.cs}, DenseB{b, ldb}, StoreC{accumulate}, c);
 }
 
 // ---- Packed (cache-blocked) wide path ------------------------------------
@@ -562,6 +728,98 @@ const GemmSolver* GemmPackedSolver() {
 const GemmSolver* GemmDotSolver() {
   static const GemmDotSolverImpl solver;
   return &solver;
+}
+
+// ---- In-place conv operands ------------------------------------------------
+
+bool InPlaceConvSolver(const GemmSolver* solver) {
+#if defined(__AVX512F__)
+  return solver == GemmDirectSolver();
+#else
+  (void)solver;
+  return false;
+#endif
+}
+
+bool SameConvOperand::Prepare(int64_t c, int64_t h, int64_t w, int64_t kernel, int64_t padding,
+                              ScratchScope& scope) {
+  const int64_t plane = (h + 2 * padding) * w;
+  if (kernel != 2 * padding + 1 || kernel > kMaxKernel ||
+      c * plane + 2 * kNR > std::numeric_limits<int32_t>::max()) {
+    return false;
+  }
+  c_ = c;
+  h_ = h;
+  w_ = w;
+  kernel_ = kernel;
+  pad_ = padding;
+  // Reads run from tap (0, 0, 0) at pixel 0, P floats before the first
+  // plane, to a full tile past tap (C-1, K-1, K-1) at the last tile's first
+  // pixel.
+  const int64_t spatial = h * w;
+  const int64_t last_tile = (spatial - 1) / kNR * kNR;
+  front_ = padding;
+  back_ = padding + last_tile + kNR - spatial;
+  // Tile t starts at column (t * kNR) % W, which repeats every
+  // W / gcd(W, kNR) tiles; only the distinct ones get masks.
+  period_ = std::min(w / std::gcd(w, kNR), last_tile / kNR + 1);
+  uint32_t* masks = scope.Alloc<uint32_t>(static_cast<size_t>(period_ * kernel));
+  for (int64_t t = 0; t < period_; ++t) {
+    for (int64_t kw = 0; kw < kernel; ++kw) {
+      uint32_t lanes = 0;
+      int64_t ox = t * kNR % w;
+      for (int64_t l = 0; l < kNR; ++l) {
+        const int64_t ix = ox + kw - padding;
+        lanes |= static_cast<uint32_t>(ix >= 0 && ix < w) << l;
+        ox = ox + 1 == w ? 0 : ox + 1;
+      }
+      masks[t * kernel + kw] = lanes;
+    }
+  }
+  masks_ = masks;
+  int32_t* row_off = scope.Alloc<int32_t>(static_cast<size_t>(c * kernel));
+  for (int64_t ch = 0; ch < c; ++ch) {
+    for (int64_t kh = 0; kh < kernel; ++kh) {
+      row_off[ch * kernel + kh] = static_cast<int32_t>(ch * plane + kh * w);
+    }
+  }
+  row_off_ = row_off;
+  return true;
+}
+
+void SameConvOperand::Copy(const float* x, float* copy) const {
+  const int64_t border = pad_ * w_;
+  const int64_t interior = h_ * w_;
+  float* dst = std::fill_n(copy, front_, 0.0f);
+  for (int64_t ch = 0; ch < c_; ++ch) {
+    dst = std::fill_n(dst, border, 0.0f);
+    dst = std::copy_n(x + ch * interior, interior, dst);
+    dst = std::fill_n(dst, border, 0.0f);
+  }
+  std::fill_n(dst, back_, 0.0f);
+}
+
+void SameConvOperand::Run(const float* w, int64_t o, const float* copy, const float* bias,
+                          const float* skip, bool relu, float* y) const {
+#if defined(__AVX512F__)
+  const int64_t ckk = c_ * kernel_ * kernel_;
+  const int64_t spatial = h_ * w_;
+  const ShiftedRowsB b{copy + front_, row_off_, kernel_, pad_, period_, masks_};
+  DirectGemm(o, ckk, spatial, DenseA{w, ckk, 1}, b, ConvEpi{bias, skip, spatial, relu}, y);
+#else
+  (void)w, (void)o, (void)copy, (void)bias, (void)skip, (void)relu, (void)y;
+  GMORPH_CHECK(false, "in-place conv operands need an AVX-512 build");
+#endif
+}
+
+void RunPixelTapGemm(const ProblemDesc& desc, const PixelTapOperand& a, const float* b,
+                     float* c) {
+#if defined(__AVX512F__)
+  DirectGemm(desc.m, desc.k, desc.n, PixelTapA{a}, DenseB{b, desc.n}, StoreC{false}, c);
+#else
+  (void)desc, (void)a, (void)b, (void)c;
+  GMORPH_CHECK(false, "in-place conv operands need an AVX-512 build");
+#endif
 }
 
 // ---- Reference loops ------------------------------------------------------

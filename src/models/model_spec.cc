@@ -341,6 +341,21 @@ int64_t BlockCapacity(const BlockSpec& spec) {
   return 0;
 }
 
+int64_t BlockBufferElements(const BlockSpec& spec) {
+  // Each BatchNorm2d keeps a running mean and a running variance per channel.
+  const int64_t bn = 2 * spec.out_channels;
+  switch (spec.type) {
+    case BlockType::kConvBNReLU:
+      return bn;
+    case BlockType::kResidual: {
+      const bool proj = spec.stride != 1 || spec.in_channels != spec.out_channels;
+      return (proj ? 3 : 2) * bn;
+    }
+    default:
+      return 0;
+  }
+}
+
 int64_t BlockFlops(const BlockSpec& spec, const Shape& in) {
   const Shape out = BlockOutShape(spec, in);
   switch (spec.type) {

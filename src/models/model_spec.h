@@ -103,6 +103,9 @@ Shape BlockOutShape(const BlockSpec& spec, const Shape& in);
 
 // Number of learnable parameters (matches MakeModule(spec)->ParamCount()).
 int64_t BlockCapacity(const BlockSpec& spec);
+// Elements of the block's buffers (BatchNorm running mean and variance),
+// which Module::ExportParameters appends after the parameters.
+int64_t BlockBufferElements(const BlockSpec& spec);
 
 // Forward FLOPs per sample given a per-sample input shape (multiply-adds
 // counted as 2 ops, matching common convention).

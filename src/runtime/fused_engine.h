@@ -7,11 +7,14 @@
 //                        single convolution with folded weights/bias.
 //   2. Epilogue fusion — bias, the residual skip-add and ReLU are applied
 //                        in the pass that writes each conv sample's GEMM
-//                        result (Conv2dForwardInto). A conv whose OH*OW is
+//                        result (Conv2dForwardInto); a stride-1 "same" conv
+//                        on gemm.direct applies them on the register tile,
+//                        which reads im2col in place. A conv whose OH*OW is
 //                        narrower than the wide GEMM tile runs the whole
 //                        batch as one GEMM with output pixels as rows and
 //                        output channels as columns, over a W^T transposed
-//                        once here (NarrowConv2dForwardInto); its epilogue
+//                        once here (NarrowConv2dForwardInto; on gemm.direct
+//                        its im2row is read in place too); its epilogue
 //                        transposes each sample back to NCHW first. Linears
 //                        fuse bias, residual skip-add and ReLU/GELU the same
 //                        way (LinearForwardInto). A transformer block lowers to

@@ -1,8 +1,11 @@
 // Convolution and pooling kernels for NCHW tensors.
 //
-// Conv2d is implemented as im2col + GEMM, the standard CPU lowering: it turns
-// the spatial gather into a dense matmul that the GEMM cores in tensor_ops can
-// stream through. All functions take / return contiguous tensors.
+// Conv2d is lowered to GEMM, the standard CPU lowering: the spatial gather
+// becomes a dense matmul operand (im2col, or im2row for the engine's narrow
+// convs). On gemm.direct a stride-1 "same" conv and a narrow conv read that
+// operand in place from the input instead of materializing it
+// (src/kernels/inplace_conv.h), with the same bits. All functions take /
+// return contiguous tensors.
 #ifndef GMORPH_SRC_TENSOR_CONV_OPS_H_
 #define GMORPH_SRC_TENSOR_CONV_OPS_H_
 
@@ -29,10 +32,13 @@ Tensor Conv2dForward(const Tensor& x, const Tensor& w, const Tensor& b, const Co
 // fuses an epilogue into the pass that writes each sample's result — bias,
 // then `skip` (same shape as out), then `relu` clamping at zero — so
 // residual tails and activations cost no extra pass over memory and no
-// allocation. Each sample runs its own im2col GEMM [O, C*KH*KW] x
-// [C*KH*KW, OH*OW] inside a parallel loop over the batch. `solver` pins the
-// GEMM solver (the fused engine resolves it once per binding); nullptr
-// resolves it through the registry per call.
+// allocation. Each sample runs its own GEMM [O, C*KH*KW] x [C*KH*KW, OH*OW]
+// inside a parallel loop over the batch. A stride-1 "same" conv on
+// gemm.direct reads that B operand in place from a row-padded copy of the
+// sample and runs the epilogue on the tile's accumulators; every other conv
+// materializes im2col. `solver` pins the GEMM solver (the fused engine
+// resolves it once per binding); nullptr resolves it through the registry
+// per call.
 void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const Conv2dArgs& args,
                        Tensor& out, const Tensor* skip = nullptr, bool relu = false,
                        const kernels::GemmSolver* solver = nullptr);
@@ -42,12 +48,13 @@ void Conv2dForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, const 
 // and output channels as columns,
 //   out^T[N*OH*OW, O] = im2row(x)[N*OH*OW, C*KH*KW] · W^T[C*KH*KW, O],
 // over `wt`, the kernel x kernel weights pre-transposed to [C*KH*KW, O].
-// im2row reads a zero-bordered copy of each sample, so it copies whole
-// kernel-wide spans without bounds tests. Each sample's rows are then
-// transposed into its NCHW plane, which takes Conv2dForwardInto's epilogue
-// in place. On gemm.direct every output equals Conv2dForwardInto's on
-// gemm.direct bit for bit: both sum the same products in the same k order.
-// Buffers come from the scratch arena.
+// On gemm.direct the tile reads im2row in place, A[s, p] at pixel s's
+// window corner plus tap p's offset in a zero-bordered copy of the batch (in
+// x itself without padding); other solvers get a materialized im2row. Each
+// sample's rows are then transposed into its NCHW plane, which takes
+// Conv2dForwardInto's epilogue in place. On gemm.direct every output equals
+// Conv2dForwardInto's on gemm.direct bit for bit: both sum the same products
+// in the same k order. Buffers come from the scratch arena.
 void NarrowConv2dForwardInto(const Tensor& x, const Tensor& wt, int64_t kernel, const Tensor& b,
                              const Conv2dArgs& args, Tensor& out, const Tensor* skip = nullptr,
                              bool relu = false, const kernels::GemmSolver* solver = nullptr);

@@ -1,16 +1,20 @@
 #include "src/tensor/conv_ops.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
 #include "src/common/rng.h"
+#include "src/kernels/inplace_conv.h"
 #include "src/kernels/registry.h"
 #include "src/tensor/tensor_ops.h"
 #include "tests/test_util.h"
@@ -467,6 +471,181 @@ TEST(ConvPropertyTest, NarrowConvBitwiseMatchesPerSampleDirect) {
     }
   }
   EXPECT_GE(cases, 90);
+}
+
+// The conv epilogue in scalar loops: bias, then skip, then the ReLU clamp.
+void ReferenceEpilogue(int64_t o, int64_t spatial, const float* bias, const float* skip,
+                       bool relu, float* y) {
+  for (int64_t oc = 0; oc < o; ++oc) {
+    for (int64_t s = 0; s < spatial; ++s) {
+      float v = y[oc * spatial + s];
+      if (bias != nullptr) {
+        v += bias[oc];
+      }
+      if (skip != nullptr) {
+        v += skip[oc * spatial + s];
+      }
+      y[oc * spatial + s] = relu ? (v > 0.0f ? v : 0.0f) : v;
+    }
+  }
+}
+
+// Tap p = (ch, kh, kw) of output pixel (oy, ox), or +0.0f in the padding.
+float TapValue(const float* xi, int64_t h, int64_t w, int64_t k, int64_t stride, int64_t pad,
+               int64_t p, int64_t oy, int64_t ox) {
+  const int64_t ch = p / (k * k);
+  const int64_t iy = oy * stride + p / k % k - pad;
+  const int64_t ix = ox * stride + p % k - pad;
+  return iy >= 0 && iy < h && ix >= 0 && ix < w ? xi[(ch * h + iy) * w + ix] : 0.0f;
+}
+
+// gemm.direct reads a conv's im2col (stride-1 "same" convs) or im2row
+// (narrow convs) in place instead of materializing it. Both must reproduce,
+// bit for bit, the materialized reference written out here: a per-element
+// im2col or im2row, gemm.direct's Run over it, then the epilogue. The wide
+// grid walks output widths whose 32-lane column tiles start at every kind of
+// column offset (one lane pattern for 8, 16 and 32; several for 12, 24, 31,
+// 33 and 40; whole tiles spanning many rows for 1, 2, 3 and 5), outputs on
+// both sides of 32 and 64 pixels, and 1 to 33 output channels (8-, 4- and
+// 1-row tiles). The copy each sample is read from is sized so that the first
+// and the last vector read of every conv touch its first and its last float,
+// which the asan job checks. An off-by-one lane mask, a tap read from the
+// wrong row, or an epilogue applied out of order fails here.
+TEST(ConvPropertyTest, InPlaceOperandBitwiseMatchesMaterialized) {
+  const kernels::GemmSolver* direct = kernels::SolverRegistry::Global().FindGemm("gemm.direct");
+  ASSERT_NE(direct, nullptr);
+  if (!kernels::InPlaceConvSolver(direct)) {
+    std::printf("[ note ] no in-place conv operands on this build; both sides materialize\n");
+  }
+  const auto bitwise_equal = [](const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+  };
+  const int64_t out_channels[] = {1, 3, 4, 8, 9, 24, 33};
+  const int64_t channels[] = {1, 3, 16};
+  const int64_t batches[] = {1, 3, 8};
+  Rng rng(77);
+  int cases = 0;
+  for (const int64_t k : {1, 3, 5}) {
+    for (const int64_t ow : {1, 2, 3, 5, 8, 12, 16, 24, 31, 32, 33, 40}) {
+      // Heights putting OH*OW just below and just above 32 and 64.
+      std::set<int64_t> heights;
+      for (const int64_t edge : {32, 64}) {
+        heights.insert(std::max<int64_t>(1, (edge - 1) / ow));
+        heights.insert(edge / ow + 1);
+      }
+      for (const int64_t oh : heights) {
+        const int64_t o = out_channels[cases % 7];
+        const int64_t c = channels[cases % 3];
+        const int64_t n = batches[(cases / 3) % 3];
+        const bool bias = (cases & 1) != 0;
+        const bool skip = (cases & 2) != 0;
+        const bool relu = (cases & 4) != 0;
+        ++cases;
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " out=" << oh << "x" << ow << " o=" << o
+                                          << " c=" << c << " n=" << n << " bias=" << bias
+                                          << " skip=" << skip << " relu=" << relu);
+        const int64_t pad = (k - 1) / 2;
+        const int64_t spatial = oh * ow;
+        const int64_t ckk = c * k * k;
+        const Tensor x = Tensor::RandomGaussian(Shape{n, c, oh, ow}, rng);
+        const Tensor wts = Tensor::RandomGaussian(Shape{o, c, k, k}, rng);
+        const Tensor b = bias ? Tensor::RandomGaussian(Shape{o}, rng) : Tensor();
+        const Tensor res = Tensor::RandomGaussian(Shape{n, o, oh, ow}, rng);
+        Tensor got(res.shape());
+        Conv2dForwardInto(x, wts, b, Conv2dArgs{1, pad}, got, skip ? &res : nullptr, relu,
+                          direct);
+
+        Tensor want(res.shape());
+        std::vector<float> col(static_cast<size_t>(ckk * spatial));
+        const kernels::ProblemDesc desc =
+            kernels::GemmProblem(kernels::OpFamily::kGemmNN, o, ckk, spatial);
+        for (int64_t i = 0; i < n; ++i) {
+          const float* xi = x.data() + i * c * oh * ow;
+          for (int64_t p = 0; p < ckk; ++p) {
+            for (int64_t s = 0; s < spatial; ++s) {
+              col[static_cast<size_t>(p * spatial + s)] =
+                  TapValue(xi, oh, ow, k, 1, pad, p, s / ow, s % ow);
+            }
+          }
+          float* y = want.data() + i * o * spatial;
+          direct->Run(desc, kernels::MakeGemmCall(desc, wts.data(), col.data(), y, false));
+          ReferenceEpilogue(o, spatial, bias ? b.data() : nullptr,
+                            skip ? res.data() + i * o * spatial : nullptr, relu, y);
+        }
+        EXPECT_TRUE(bitwise_equal(got, want));
+      }
+    }
+  }
+  EXPECT_GE(cases, 120);
+
+  // Narrow convs: one pixels x channels GEMM over the batch, whose A rows
+  // gather their taps from the zero-bordered samples (or from x itself
+  // without padding).
+  const int64_t narrow_out_channels[] = {24, 33, 64, 96};
+  const int64_t narrow_channels[] = {1, 3, 16, 64};
+  int narrow_cases = 0;
+  for (const int64_t k : {1, 3, 8}) {
+    for (const int64_t s : {1, 2, 8}) {
+      for (const int64_t pad : {0, 1}) {
+        for (const auto& [oh, ow] : {std::pair<int64_t, int64_t>{1, 1}, {2, 2}, {3, 3}, {4, 4},
+                                     {1, 23}}) {
+          const int64_t h = (oh - 1) * s + k - 2 * pad;
+          const int64_t w = (ow - 1) * s + k - 2 * pad;
+          if (h < 1 || w < 1) {
+            continue;  // a 1x1 kernel over padding only
+          }
+          const int64_t o = narrow_out_channels[narrow_cases % 4];
+          const int64_t c = narrow_channels[(narrow_cases / 4) % 4];
+          const int64_t n = batches[narrow_cases % 3];
+          const bool bias = (narrow_cases & 1) != 0;
+          const bool skip = (narrow_cases & 2) != 0;
+          const bool relu = (narrow_cases & 4) != 0;
+          ++narrow_cases;
+          SCOPED_TRACE(::testing::Message()
+                       << "narrow k=" << k << " s=" << s << " p=" << pad << " out=" << oh << "x"
+                       << ow << " o=" << o << " c=" << c << " n=" << n << " bias=" << bias
+                       << " skip=" << skip << " relu=" << relu);
+          const int64_t spatial = oh * ow;
+          const int64_t ckk = c * k * k;
+          const Tensor x = Tensor::RandomGaussian(Shape{n, c, h, w}, rng);
+          const Tensor wt = Tensor::RandomGaussian(Shape{ckk, o}, rng);
+          const Tensor b = bias ? Tensor::RandomGaussian(Shape{o}, rng) : Tensor();
+          const Tensor res = Tensor::RandomGaussian(Shape{n, o, oh, ow}, rng);
+          Tensor got(res.shape());
+          NarrowConv2dForwardInto(x, wt, k, b, Conv2dArgs{s, pad}, got, skip ? &res : nullptr,
+                                  relu, direct);
+
+          std::vector<float> rows(static_cast<size_t>(n * spatial * ckk));
+          for (int64_t i = 0; i < n; ++i) {
+            for (int64_t px = 0; px < spatial; ++px) {
+              for (int64_t p = 0; p < ckk; ++p) {
+                rows[static_cast<size_t>((i * spatial + px) * ckk + p)] = TapValue(
+                    x.data() + i * c * h * w, h, w, k, s, pad, p, px / ow, px % ow);
+              }
+            }
+          }
+          std::vector<float> y(static_cast<size_t>(n * spatial * o));
+          const kernels::ProblemDesc desc =
+              kernels::GemmProblem(kernels::OpFamily::kGemmNN, n * spatial, ckk, o);
+          direct->Run(desc, kernels::MakeGemmCall(desc, rows.data(), wt.data(), y.data(), false));
+          Tensor want(res.shape());
+          for (int64_t i = 0; i < n; ++i) {
+            float* plane = want.data() + i * o * spatial;
+            for (int64_t px = 0; px < spatial; ++px) {
+              for (int64_t oc = 0; oc < o; ++oc) {
+                plane[oc * spatial + px] = y[static_cast<size_t>((i * spatial + px) * o + oc)];
+              }
+            }
+            ReferenceEpilogue(o, spatial, bias ? b.data() : nullptr,
+                              skip ? res.data() + i * o * spatial : nullptr, relu, plane);
+          }
+          EXPECT_TRUE(bitwise_equal(got, want));
+        }
+      }
+    }
+  }
+  EXPECT_GE(narrow_cases, 60);
 }
 
 TEST(MaxPoolTest, SelectsWindowMaxima) {

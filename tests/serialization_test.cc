@@ -2,15 +2,18 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/graph_verifier.h"
 #include "src/common/serialization.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
 #include "src/core/multitask_model.h"
 #include "src/core/mutation.h"
+#include "src/data/benchmarks.h"
 #include "src/models/zoo.h"
 #include "tests/test_util.h"
 
@@ -213,6 +216,51 @@ TEST_F(GraphIoTest, CleanFileRoundTripsThroughVerifier) {
   ASSERT_TRUE(result.ok()) << result.diagnostics.ToString();
   EXPECT_EQ(result.graph->Fingerprint(), SampleGraph().Fingerprint());
   EXPECT_TRUE(result.diagnostics.ok());
+}
+
+// ResNet blocks export their BatchNorm running statistics after their
+// parameters (Module::ExportParameters), so a B4 graph's nodes carry more
+// elements than their capacity. The graph must pass the verifier, survive
+// SaveGraph/LoadGraph, and run the same eager outputs bit for bit.
+TEST_F(GraphIoTest, BatchNormBuffersRoundTrip) {
+  BenchmarkScale scale;
+  scale.train_size = 1;
+  scale.test_size = 1;
+  scale.cnn_width = 4;
+  const BenchmarkDef def = MakeBenchmark(4, scale, 5);
+  Rng rng(21);
+  const Tensor x = Tensor::RandomGaussian(def.tasks[0].model.input_shape.WithBatch(2), rng);
+  std::vector<std::unique_ptr<TaskModel>> models;
+  std::vector<const TaskModel*> ptrs;
+  for (const BenchmarkTask& task : def.tasks) {
+    models.push_back(std::make_unique<TaskModel>(task.model, rng));
+    models.back()->Forward(x, /*training=*/true);  // moves the running statistics
+    ptrs.push_back(models.back().get());
+  }
+  const AbsGraph graph = ParseTaskModels(ptrs);
+  const DiagnosticList diags = VerifyGraph(graph);
+  EXPECT_TRUE(diags.ok()) << diags.ToString();
+
+  const std::string path = Path("b4.bin");
+  ASSERT_TRUE(SaveGraph(path, graph));
+  AbsGraph loaded;
+  ASSERT_TRUE(LoadGraph(path, loaded));
+  EXPECT_EQ(loaded.Fingerprint(), graph.Fingerprint());
+
+  Rng rng_a(3);
+  Rng rng_b(3);
+  MultiTaskModel original(graph, rng_a);
+  MultiTaskModel reloaded(loaded, rng_b);
+  const std::vector<Tensor> want = original.Forward(x, false);
+  const std::vector<Tensor> got = reloaded.Forward(x, false);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t t = 0; t < got.size(); ++t) {
+    ASSERT_EQ(got[t].shape(), want[t].shape());
+    EXPECT_EQ(std::memcmp(got[t].data(), want[t].data(),
+                          static_cast<size_t>(got[t].size()) * sizeof(float)),
+              0)
+        << "task " << t;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "src/core/multitask_model.h"
 #include "src/data/benchmarks.h"
 #include "src/runtime/fused_engine.h"
+#include "src/tensor/conv_ops.h"
 
 #ifndef GMORPH_TESTDATA_DIR
 #define GMORPH_TESTDATA_DIR "tests/testdata"
@@ -47,6 +48,24 @@ TEST(CheckMacroTest, FailureCarriesStructuredFields) {
     EXPECT_GT(e.line(), 0);
     EXPECT_NE(e.message().find("one is not 2"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("1 == 2"), std::string::npos);
+  }
+}
+
+// The build maps the source root out of __FILE__, so a check reports the
+// same repo-relative path, and --verify prints the same bytes, from any
+// checkout directory.
+TEST(CheckMacroTest, FileIsRepoRelative) {
+  try {
+    GMORPH_CHECK(false);
+    FAIL() << "check did not throw";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(e.file(), "tests/verifier_test.cc");
+  }
+  try {
+    ConvOutDim(1, 5, 1, 0);  // a library check
+    FAIL() << "check did not throw";
+  } catch (const CheckError& e) {
+    EXPECT_EQ(e.file(), "src/tensor/conv_ops.cc");
   }
 }
 
