@@ -54,16 +54,6 @@ Fact RequiredInputFact(const PlanStep& step) {
   return Fact::kF32;
 }
 
-std::string StepPath(const PlanIR& plan, int seq) {
-  const PlanStep& s = plan.steps[static_cast<size_t>(seq)];
-  return "step " + std::to_string(seq) + " [" +
-         (s.label.empty() ? PlanOpName(s.kind) : s.label) + "]";
-}
-
-std::string ValuePath(int value) {
-  return "value v" + std::to_string(value);
-}
-
 }  // namespace
 
 DiagnosticList AnalyzePlanDtypes(const PlanIR& plan) {

@@ -1,14 +1,18 @@
-// PlanIR: a public, self-contained mirror of a FusedEngine execution plan.
+// PlanIR: a FusedEngine execution plan, in the one form the engine plans in.
 //
-// FusedEngine::ExportPlan() snapshots its lowered plan into this form so the
-// PlanVerifier can symbolically execute it without access to engine
-// internals, and so tests (and the CLI's plan-lint mode, see plan_io.h) can
+// FusedEngine lowers its model straight into a PlanIR and keeps beside it only
+// what the plan does not describe (parameter tensors, LayerNorm eps, the
+// narrow-conv weight layout, int8 packs, profile accumulators). ExportPlan()
+// hands out that plan; the PlanVerifier symbolically executes it without
+// access to engine internals, PlanToText (plan_io.h) prints it for
+// `--dump-plan` and `--export-plan`, and tests and the CLI's plan-lint mode
 // hand-construct plans with deliberately seeded defects.
 //
-// The verifier deliberately receives *less* than the engine keeps: no
-// liveness events and no def bookkeeping. It recomputes all of that from the
-// steps alone, so a bug in the engine's own liveness tracking cannot hide a
-// bug in its buffer assignment.
+// The checkers deliberately receive *less* than the planner computes: no
+// liveness events and no def bookkeeping (those stay inside the engine's
+// buffer planning). They recompute all of that from the steps alone, so a bug
+// in the engine's own liveness tracking cannot hide a bug in its buffer
+// assignment.
 #ifndef GMORPH_SRC_ANALYSIS_PLAN_IR_H_
 #define GMORPH_SRC_ANALYSIS_PLAN_IR_H_
 
@@ -70,15 +74,17 @@ struct PlanStep {
   int64_t pool_kernel = 0;  // kMaxPool
   int64_t pool_stride = 0;  // kMaxPool
   int64_t heads = 0;        // kAttention
-  // Kernel solver resolved at plan time (registry name, e.g. "gemm.packed");
-  // empty for untuned/legacy plans and for step kinds without a tunable
-  // kernel. For kConv this names the solver of the per-sample im2col GEMM.
+  // Kernel solver resolved at plan time for the step's problem at batch 1
+  // (StepProblem; registry name, e.g. "gemm.packed"); empty for untuned/legacy
+  // plans and for step kinds without a tunable kernel. For kConv this names
+  // the solver of the conv's GEMM in the orientation kernels::ConvProblem
+  // picks.
   std::string solver;
   // Execution precision of the step's kernel. kInt8 marks a quantized
-  // conv/linear step: its GEMM is the u8·s8 product; for kConv its family
-  // (qconv_pixels or qconv_channels) and dims come from kernels::ConvProblem,
-  // which CheckSolvers calls too. f32 plans serialize without a dtype token
-  // (back-compat).
+  // conv/linear step (FusedEngine::Quantize sets it beside the int8 packs):
+  // its GEMM is the u8·s8 product; for kConv its family (qconv_pixels or
+  // qconv_channels) and dims come from kernels::ConvProblem via StepProblem.
+  // f32 plans serialize without a dtype token (back-compat).
   kernels::DType dtype = kernels::DType::kF32;
 };
 
@@ -103,6 +109,33 @@ struct PlanIR {
   std::vector<PlanBuffer> buffers;
   std::vector<int> head_values;  // per task, in task order
 };
+
+// Diagnostic locations: "step 3 [<label, else kind name>]" ("step 3" alone for
+// an out-of-range id) and "value v7".
+std::string StepPath(const PlanIR& plan, int seq);
+std::string ValuePath(int value);
+
+// How a step maps to a tunable kernel (see StepProblem).
+enum class StepKernel {
+  kNone,       // the step kind has no tunable kernel
+  kMalformed,  // conv, linear or max-pool whose shapes do not define one
+  kProblem,    // the problem descriptor was filled in
+};
+
+// The kernel problem `step` of `plan` runs at `batch`, at the step's dtype:
+//   - kConv: kernels::ConvProblem. Wide f32 convs and every int8 conv run it
+//     per sample inside the per-batch loop, at threads = 1. A narrow f32 conv
+//     (OH*OW < kernels::kWideMinN) runs one pixels x channels GEMM over the
+//     whole batch: m = batch*OH*OW.
+//   - kLinear: the batched GEMM, m = batch * rows, k = in, n = out.
+//   - kMaxPool: the pool over every plane, m = batch * C.
+// `threads` is the parallelism of the step's group; it applies where the
+// kernel runs outside the per-sample loop (narrow f32 convs, linears, pools).
+// The engine's solver pins and annotations, KernelProblems and the
+// PlanVerifier's solver check all call this one function; `plan`'s value ids
+// must be in range.
+StepKernel StepProblem(const PlanIR& plan, const PlanStep& step, int64_t batch, int threads,
+                       kernels::ProblemDesc* desc);
 
 }  // namespace gmorph
 

@@ -1,42 +1,12 @@
 #include "src/analysis/plan_verifier.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "src/kernels/registry.h"
 
 namespace gmorph {
-
-std::string PlanOpName(PlanOp op) {
-  switch (op) {
-    case PlanOp::kConv:
-      return "conv";
-    case PlanOp::kLinear:
-      return "linear";
-    case PlanOp::kMaxPool:
-      return "maxpool";
-    case PlanOp::kGlobalAvgPool:
-      return "gap";
-    case PlanOp::kMeanPoolTokens:
-      return "meanpool";
-    case PlanOp::kBilinearResize:
-      return "resize";
-    case PlanOp::kTokenResize:
-      return "tokresize";
-    case PlanOp::kLayerNorm:
-      return "layernorm";
-    case PlanOp::kAttention:
-      return "attention";
-    case PlanOp::kPatchTokens:
-      return "tokens";
-    case PlanOp::kEmbedding:
-      return "embed";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // An event in the symbolic execution: step sequence number + group.
@@ -44,20 +14,6 @@ struct Event {
   int seq = -1;
   int group = 0;
 };
-
-std::string StepPath(const PlanIR& plan, int seq) {
-  std::ostringstream os;
-  os << "step " << seq;
-  if (seq >= 0 && seq < static_cast<int>(plan.steps.size())) {
-    const PlanStep& s = plan.steps[static_cast<size_t>(seq)];
-    os << " [" << (s.label.empty() ? PlanOpName(s.kind) : s.label) << "]";
-  }
-  return os.str();
-}
-
-std::string ValuePath(int value) {
-  return "value v" + std::to_string(value);
-}
 
 class PlanChecker {
  public:
@@ -514,9 +470,10 @@ class PlanChecker {
   // Steps may carry the kernel solver resolved at plan time (tuning DB or
   // heuristic). The annotation must name a registered solver of the step's
   // kernel family that accepts the step's problem shape. Applicability is
-  // checked on the per-sample descriptor with threads=1: no registered
-  // solver's IsApplicable depends on the thread count, and the plan text does
-  // not record the execution-time parallelism.
+  // checked on the batch-1 descriptor with threads=1 (StepProblem, as the
+  // engine annotates it): no registered solver's IsApplicable depends on the
+  // thread count, and the plan text does not record the execution-time
+  // parallelism.
   void CheckSolvers() {
     const kernels::SolverRegistry& registry = kernels::SolverRegistry::Global();
     for (int s = 0; s < S(); ++s) {
@@ -525,48 +482,16 @@ class PlanChecker {
         continue;  // untuned / legacy plan
       }
       const std::string path = StepPath(plan_, s);
-      const Shape& in = plan_.values[static_cast<size_t>(step.in0)].shape;
-      const Shape& out = plan_.values[static_cast<size_t>(step.out)].shape;
       kernels::ProblemDesc desc;
-      desc.dtype = step.dtype;
-      desc.threads = 1;
-      switch (step.kind) {
-        case PlanOp::kConv: {
-          const Shape& w = step.weight_shape;
-          if (w.Rank() != 4 || out.Rank() != 3) {
-            continue;  // malformed signature already reported by plan.shape.*
-          }
-          desc = kernels::ConvProblem(step.dtype, w[0], w[1] * w[2] * w[3], out[1], out[2]);
-          break;
-        }
-        case PlanOp::kLinear: {
-          const Shape& w = step.weight_shape;
-          if (w.Rank() != 2 || w[0] <= 0 || in.Rank() < 1) {
-            continue;
-          }
-          desc.op = kernels::OpFamily::kGemmNN;
-          desc.m = in.NumElements() / w[0];
-          desc.k = w[0];
-          desc.n = w[1];
-          break;
-        }
-        case PlanOp::kMaxPool: {
-          if (in.Rank() != 3) {
-            continue;
-          }
-          desc.op = kernels::OpFamily::kMaxPool;
-          desc.m = in[0];
-          desc.k = in[1];
-          desc.n = in[2];
-          desc.aux0 = step.pool_kernel;
-          desc.aux1 = step.pool_stride;
-          break;
-        }
-        default:
-          diags_.Error("plan.solver.kind", path)
-              << "step kind " << PlanOpName(step.kind) << " has no tunable kernel but names "
-              << "solver '" << step.solver << "'";
-          continue;
+      const StepKernel kernel = StepProblem(plan_, step, /*batch=*/1, /*threads=*/1, &desc);
+      if (kernel == StepKernel::kNone) {
+        diags_.Error("plan.solver.kind", path)
+            << "step kind " << PlanOpName(step.kind) << " has no tunable kernel but names "
+            << "solver '" << step.solver << "'";
+        continue;
+      }
+      if (kernel == StepKernel::kMalformed) {
+        continue;  // malformed signature already reported by plan.shape.*
       }
       if (desc.dtype == kernels::DType::kInt8 && desc.op == kernels::OpFamily::kMaxPool) {
         diags_.Error("plan.solver.dtype", path)

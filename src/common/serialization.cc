@@ -45,50 +45,67 @@ bool SaveWeights(const std::string& path, const std::vector<std::vector<Tensor>>
 
 bool LoadWeights(const std::string& path, std::vector<std::vector<Tensor>>& weights) {
   weights.clear();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size < 0 || !in.seekg(0)) {
     return false;
   }
+  // Every count and tensor size the file declares is checked against the
+  // bytes left in it before anything is allocated, so a damaged or hostile
+  // file cannot make the loader allocate more than the file could fill.
+  uint64_t left = static_cast<uint64_t>(size);
+  const auto read = [&](auto& value) {
+    if (left < sizeof(value) || !ReadPod(in, value)) {
+      return false;
+    }
+    left -= sizeof(value);
+    return true;
+  };
+  const auto fail = [&] {
+    weights.clear();
+    return false;
+  };
+  // Each group and each tensor takes at least its 8-byte count or rank.
   uint64_t magic = 0;
   uint64_t groups = 0;
-  if (!ReadPod(in, magic) || magic != kMagic || !ReadPod(in, groups)) {
+  if (!read(magic) || magic != kMagic || !read(groups) || groups > left / 8) {
     return false;
   }
   weights.resize(groups);
   for (auto& group : weights) {
     uint64_t count = 0;
-    if (!ReadPod(in, count)) {
-      weights.clear();
-      return false;
+    if (!read(count) || count > left / 8) {
+      return fail();
     }
     group.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t rank = 0;
-      if (!ReadPod(in, rank) || rank > 8) {
-        weights.clear();
-        return false;
+      if (!read(rank) || rank > 8) {
+        return fail();
       }
       std::vector<int64_t> dims(rank);
       int64_t elements = 1;
       for (auto& d : dims) {
         // Bound dimensions so corrupted files cannot trigger huge allocations.
-        if (!ReadPod(in, d) || d < 0 || d > (1 << 24)) {
-          weights.clear();
-          return false;
+        if (!read(d) || d < 0 || d > (1 << 24)) {
+          return fail();
         }
         elements *= std::max<int64_t>(d, 1);
         if (elements > (int64_t{1} << 28)) {
-          weights.clear();
-          return false;
+          return fail();
         }
       }
-      Tensor t{Shape(dims)};
-      in.read(reinterpret_cast<char*>(t.data()),
-              static_cast<std::streamsize>(t.size() * sizeof(float)));
-      if (!in) {
-        weights.clear();
-        return false;
+      const Shape shape(dims);
+      const uint64_t bytes = static_cast<uint64_t>(shape.NumElements()) * sizeof(float);
+      if (bytes > left) {
+        return fail();
       }
+      Tensor t(shape);
+      in.read(reinterpret_cast<char*>(t.data()), static_cast<std::streamsize>(bytes));
+      if (!in) {
+        return fail();
+      }
+      left -= bytes;
       group.push_back(std::move(t));
     }
   }

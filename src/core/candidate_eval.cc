@@ -181,11 +181,4 @@ EvalOutcome CandidateEvaluator::Finish(PendingEval& pending) {
   return std::move(out);
 }
 
-EvalOutcome CandidateEvaluator::Evaluate(AbsGraph candidate, const HistoryDatabase& history,
-                                         Rng& model_rng) {
-  PendingEval pending = Screen(std::move(candidate), history, model_rng);
-  Finetune(pending);
-  return Finish(pending);
-}
-
 }  // namespace gmorph

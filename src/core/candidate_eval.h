@@ -154,9 +154,6 @@ class CandidateEvaluator {
   // it. `pending.graph` stays valid for the caller (signature bookkeeping).
   EvalOutcome Finish(PendingEval& pending);
 
-  // Convenience: the full pipeline for one candidate.
-  EvalOutcome Evaluate(AbsGraph candidate, const HistoryDatabase& history, Rng& model_rng);
-
   const EvalOptions& options() const { return options_; }
 
  private:

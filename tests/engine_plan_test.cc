@@ -176,13 +176,17 @@ TEST(EnginePlanTest, BranchParallelMatchesSerialBitwise) {
     Rng rng(15);
     AbsGraph g = ParseModelSpecs(specs);
     MultiTaskModel model(g, rng);
-    FusedEngine::Options serial_opts;
-    serial_opts.branch_parallel = false;
     FusedEngine parallel_engine(&model);
-    FusedEngine serial_engine(&model, serial_opts);
+    FusedEngine serial_engine(&model);
     const Tensor x = InputFor(specs[0], /*batch=*/2, rng);
     std::vector<Tensor> par = parallel_engine.Run(x);
-    std::vector<Tensor> ser = serial_engine.Run(x);
+    std::vector<Tensor> ser;
+    {
+      // Nested in a parallel region, Run() forks no branch: it runs them in
+      // order, and every kernel serially.
+      ParallelRegionGuard serial;
+      ser = serial_engine.Run(x);
+    }
     ASSERT_EQ(par.size(), ser.size());
     for (size_t t = 0; t < par.size(); ++t) {
       EXPECT_EQ(testing::MaxDiff(par[t], ser[t]), 0.0f) << specs[0].name;
@@ -526,7 +530,6 @@ TEST(EnginePlanTest, PlanReusesBuffersAndProfiles) {
   // Liveness coloring must fold the 13-conv chain into fewer buffers than
   // values (ping-pong within each size class).
   EXPECT_LT(fused.num_buffers(), fused.num_steps());
-  EXPECT_FALSE(fused.DumpPlan().empty());
 
   const Tensor x = Tensor::RandomGaussian(Shape{1, 3, 32, 32}, rng);
   fused.Run(x);

@@ -4,8 +4,10 @@
 // linter pair. These are the failure-injection counterpart of the targeted
 // unit tests.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/common/check.h"
+#include "src/common/serialization.h"
 #include "src/common/text_artifact.h"
 #include "src/core/eval_cache.h"
 #include "src/core/graph_io.h"
@@ -27,6 +30,8 @@
 #include "src/data/benchmarks.h"
 #include "src/kernels/machine.h"
 #include "src/kernels/tune_db.h"
+#include "src/models/task_model.h"
+#include "src/models/zoo.h"
 #include "src/quant/recipe.h"
 #include "src/runtime/fused_engine.h"
 
@@ -175,6 +180,62 @@ TEST(SerializationFuzzTest, CorruptGraphsRejectedOrHarmless) {
       // exception or a partially-initialized graph.
       EXPECT_FALSE(loaded.diagnostics.ok()) << "trial " << trial;
       EXPECT_FALSE(loaded.graph.has_value());
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Byte flips, truncations and overwritten header words of a saved weight
+// file must never throw: LoadWeights either rejects the file (leaving the
+// output empty) or the damage missed the file's structure. Every declared
+// count and size is bounded by the bytes left in the file, so no mutant can
+// make the loader allocate more than the file could fill.
+TEST(SerializationFuzzTest, CorruptWeightsRejectedOrHarmless) {
+  Rng rng(31);
+  VisionModelOptions opts;
+  opts.base_width = 4;
+  TaskModel model(MakeVgg11(opts), rng);
+  const auto dir = std::filesystem::temp_directory_path() / "gmorph_weights_fuzz";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "w.bin").string();
+  ASSERT_TRUE(SaveWeights(path, model.ExportWeights()));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+
+  std::vector<std::string> mutants;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::string corrupted = bytes;
+    if (trial % 3 == 0) {
+      corrupted.resize(static_cast<size_t>(rng.NextInt(static_cast<int>(bytes.size()))));
+    } else {
+      for (int flips = 0; flips < 4; ++flips) {
+        const size_t pos = static_cast<size_t>(rng.NextInt(static_cast<int>(corrupted.size())));
+        corrupted[pos] = static_cast<char>(rng.NextInt(256));
+      }
+    }
+    mutants.push_back(std::move(corrupted));
+  }
+  // The header words after the magic: the group count, the first group's
+  // tensor count, and the first tensor's rank and four dims.
+  for (size_t offset = 8; offset < 64; offset += 8) {
+    for (uint64_t word : {uint64_t{1} << 31, uint64_t{1} << 62, ~uint64_t{0}}) {
+      std::string corrupted = bytes;
+      std::memcpy(&corrupted[offset], &word, sizeof(word));
+      mutants.push_back(std::move(corrupted));
+    }
+  }
+  const std::string cpath = (dir / "c.bin").string();
+  for (size_t i = 0; i < mutants.size(); ++i) {
+    {
+      std::ofstream out(cpath, std::ios::binary | std::ios::trunc);
+      out.write(mutants[i].data(), static_cast<std::streamsize>(mutants[i].size()));
+    }
+    std::vector<std::vector<Tensor>> loaded;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = LoadWeights(cpath, loaded)) << "mutant " << i;
+    if (!ok) {
+      EXPECT_TRUE(loaded.empty()) << "mutant " << i;
     }
   }
   std::filesystem::remove_all(dir);

@@ -5,9 +5,19 @@
 # ctest twin of the CI lint job: real planner output, not hand-written
 # fixtures, goes through the same pipeline as the seeded-defect files.
 #
+# Each f32 export of a GOLDEN_BENCHMARKS entry must also equal
+# GOLDEN_DIR/export_b<n>.plan byte for byte, so a planner change that moves
+# any step, value, buffer or solver name shows here. And every f32 config's
+# `--dump-plan` output must contain its exported plan text verbatim: the
+# dump prints the plan through the same renderer that writes the file.
+# Regenerate a golden with `gmorph_cli --export-plan <cfg> <file>` from a
+# config holding `benchmark = <n>` and `seed = 42`, with GMORPH_TUNE_DB
+# unset (the f32 solver names then come from shape heuristics alone).
+#
 # Invoked by ctest as:
 #   cmake -DCLI=<gmorph_cli> -DOUT_DIR=<dir> -DBENCHMARKS=1;2;...
-#         [-DQUANTIZED=ON] -P run_plan_export_lint.cmake
+#         [-DQUANTIZED=ON] [-DGOLDEN_DIR=<dir> -DGOLDEN_BENCHMARKS=1;4;...]
+#         -P run_plan_export_lint.cmake
 
 if(NOT DEFINED BENCHMARKS)
   set(BENCHMARKS 1)
@@ -40,6 +50,35 @@ foreach(bench ${BENCHMARKS})
     endif()
     if(mode STREQUAL "int8" AND NOT export_out MATCHES "\\(([0-9]+) step\\(s\\), ([1-9][0-9]*) int8\\)")
       message(FATAL_ERROR "quantized export for B${bench} carries no int8 step:\n${export_out}")
+    endif()
+
+    if(mode STREQUAL "f32")
+      list(FIND GOLDEN_BENCHMARKS "${bench}" golden_at)
+      if(NOT golden_at EQUAL -1)
+        set(GOLDEN "${GOLDEN_DIR}/export_b${bench}.plan")
+        execute_process(
+          COMMAND "${CMAKE_COMMAND}" -E compare_files "${PLAN}" "${GOLDEN}"
+          RESULT_VARIABLE golden_rc)
+        if(NOT golden_rc EQUAL 0)
+          message(FATAL_ERROR "f32 plan of B${bench} differs from ${GOLDEN}; compare with:\n"
+                              "  diff ${GOLDEN} ${PLAN}")
+        endif()
+      endif()
+
+      file(APPEND "${CFG}" "profile_runs = 1\n")
+      execute_process(
+        COMMAND "${CLI}" "--dump-plan" "${CFG}"
+        RESULT_VARIABLE dump_rc
+        OUTPUT_VARIABLE dump_out
+        ERROR_VARIABLE dump_err)
+      if(NOT dump_rc EQUAL 0)
+        message(FATAL_ERROR "--dump-plan B${bench} exited ${dump_rc}:\n${dump_out}\n${dump_err}")
+      endif()
+      file(READ "${PLAN}" plan_text)
+      string(FIND "${dump_out}" "${plan_text}" plan_at)
+      if(plan_at EQUAL -1)
+        message(FATAL_ERROR "--dump-plan B${bench} does not print the exported plan text:\n${dump_out}")
+      endif()
     endif()
 
     execute_process(

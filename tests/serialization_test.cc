@@ -2,6 +2,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -59,6 +60,28 @@ TEST_F(SerializationTest, LoadRejectsMissingAndCorrupt) {
   std::fclose(f);
   EXPECT_FALSE(LoadWeights(junk, loaded));
   EXPECT_TRUE(loaded.empty());
+
+  // Hostile counts behind a valid header: 2^62 groups, and one group of 2^62
+  // tensors. Neither fits in the file, so both loads fail before allocating.
+  const std::string hostile = Path("hostile.bin");
+  ASSERT_TRUE(SaveWeights(hostile, {{}}));  // magic, 1 group, 0 tensors
+  std::string header;
+  {
+    std::ifstream in(hostile, std::ios::binary);
+    header.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(header.size(), 3 * sizeof(uint64_t));
+  const uint64_t huge = uint64_t{1} << 62;
+  for (size_t offset : {sizeof(uint64_t), 2 * sizeof(uint64_t)}) {
+    std::string bytes = header;
+    std::memcpy(&bytes[offset], &huge, sizeof(huge));
+    {
+      std::ofstream out(hostile, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(LoadWeights(hostile, loaded)) << "2^62 count at byte " << offset;
+    EXPECT_TRUE(loaded.empty());
+  }
 }
 
 TEST_F(SerializationTest, TruncatedWeightsRejected) {

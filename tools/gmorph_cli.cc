@@ -34,8 +34,10 @@
 // --dump-plan skips search and teacher training: it materializes the
 // benchmark's multi-task graph (or a fused graph saved by a previous run via
 // `input_graph = <file>`), lowers it through the FusedEngine execution
-// planner, and prints the plan (steps, buffer assignment, groups) plus a
-// per-step latency profile at the configured batch size.
+// planner, and prints the plan in the `gmorph-plan v1` text format that
+// --export-plan writes and --verify reads (values with their buffers, groups,
+// buffers, steps with their solvers), then a per-step latency profile over
+// `profile_runs` runs at the configured batch size.
 //
 // --profile runs the perf-counter roofline profiler on the configured
 // benchmark's execution plan (or `input_graph`): the machine's compute and
@@ -112,6 +114,7 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -274,7 +277,9 @@ int DumpPlanMode(const gmorph::Config& config) {
   Rng rng(seed);
   MultiTaskModel model(graph, rng);
   FusedEngine engine(&model);
-  std::printf("%s\n", engine.DumpPlan().c_str());
+  std::ostringstream plan_text;
+  PlanToText(engine.ExportPlan(), plan_text);
+  std::printf("%s\n", plan_text.str().c_str());
 
   const int64_t batch = config.GetInt("batch_size", 1);
   const int runs = static_cast<int>(config.GetInt("profile_runs", 10));
