@@ -9,13 +9,13 @@
 #include <sstream>
 
 #include "src/common/check.h"
-#include "src/common/serialization.h"
 #include "src/common/text_artifact.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/tensor/serialization.h"
 
 namespace gmorph::bench {
 

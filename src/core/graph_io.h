@@ -15,6 +15,7 @@
 #include <optional>
 #include <string>
 
+#include "src/common/binary_io.h"
 #include "src/common/diagnostics.h"
 #include "src/core/abs_graph.h"
 
@@ -28,6 +29,8 @@ struct GraphLoadResult {
 
 GraphLoadResult TryLoadGraph(std::istream& in);
 GraphLoadResult TryLoadGraph(const std::string& path);
+// A graph record embedded in another binary format, within `outer`'s bytes.
+GraphLoadResult TryLoadGraph(BinaryReader& outer);
 
 bool SaveGraph(std::ostream& out, const AbsGraph& graph);
 bool SaveGraph(const std::string& path, const AbsGraph& graph);

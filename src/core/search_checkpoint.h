@@ -14,8 +14,8 @@
 // payload. Embedded graphs reuse the graph_io format (each graph record reads
 // back exactly its own bytes and re-runs the GraphVerifier on load). Saves go
 // through a temp file + rename so an interrupted write never clobbers the
-// previous good checkpoint. Loads mirror graph_io's discipline: a
-// bounds-checked reader that reports ckpt.* diagnostics (ckpt.open,
+// previous good checkpoint. Loads go through the bounded BinaryReader
+// (src/common/binary_io.h), which reports ckpt.* diagnostics (ckpt.open,
 // ckpt.magic, ckpt.version, ckpt.truncated, ckpt.bounds) instead of crashing
 // or returning a half-built state.
 #ifndef GMORPH_SRC_CORE_SEARCH_CHECKPOINT_H_

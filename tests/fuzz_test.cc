@@ -19,7 +19,7 @@
 #include "src/analysis/plan_io.h"
 #include "src/analysis/plan_verifier.h"
 #include "src/common/check.h"
-#include "src/common/serialization.h"
+#include "src/common/config.h"
 #include "src/common/text_artifact.h"
 #include "src/core/eval_cache.h"
 #include "src/core/graph_io.h"
@@ -34,6 +34,8 @@
 #include "src/models/zoo.h"
 #include "src/quant/recipe.h"
 #include "src/runtime/fused_engine.h"
+#include "tests/test_util.h"
+#include "src/tensor/serialization.h"
 
 namespace gmorph {
 namespace {
@@ -49,6 +51,40 @@ AbsGraph GraphForBenchmark(int index) {
     specs.push_back(task.model);
   }
   return ParseModelSpecs(specs);
+}
+
+// Per-block weights of a one-conv vision model, holding multiples of 0.25 in
+// [-8, 8): exactly representable, so the binary goldens depend on no RNG draw
+// and no floating-point contraction.
+ModelSpec TinyVisionSpec() {
+  return {"tiny",
+          Shape{3, 4, 4},
+          {ConvReLUSpec(3, 2), MaxPoolSpec(), FlattenSpec(), HeadSpec(8, 2)}};
+}
+
+std::vector<std::vector<Tensor>> ConstantWeights() {
+  Rng rng(1);
+  std::vector<std::vector<Tensor>> weights = TaskModel(TinyVisionSpec(), rng).ExportWeights();
+  int k = 0;
+  for (std::vector<Tensor>& group : weights) {
+    for (Tensor& t : group) {
+      t = Tensor(t.shape());
+      for (int64_t i = 0; i < t.size(); ++i) {
+        t.data()[i] = 0.25f * static_cast<float>(k++ % 64) - 8.0f;
+      }
+    }
+  }
+  return weights;
+}
+
+// Two tasks of TinyVisionSpec carrying ConstantWeights().
+AbsGraph ConstantWeightGraph() {
+  Rng rng(1);
+  TaskModel a(TinyVisionSpec(), rng);
+  TaskModel b(TinyVisionSpec(), rng);
+  a.ImportWeights(ConstantWeights());
+  b.ImportWeights(ConstantWeights());
+  return ParseTaskModels({&a, &b});
 }
 
 class MutationFuzzTest : public ::testing::TestWithParam<int> {};
@@ -241,6 +277,53 @@ TEST(SerializationFuzzTest, CorruptWeightsRejectedOrHarmless) {
   std::filesystem::remove_all(dir);
 }
 
+// Every 8-byte word of a saved graph and of a saved weight file, overwritten
+// with a count or dimension far beyond the file: no load throws, and none
+// allocates more tensor storage than the file holds, since each declared size
+// is checked against the bytes left before anything is allocated.
+TEST(SerializationFuzzTest, OverwrittenWordsAllocateNoMoreThanTheFile) {
+  std::ostringstream graph_out;
+  ASSERT_TRUE(SaveGraph(graph_out, ConstantWeightGraph()));
+  const std::string graph = graph_out.str();
+  const auto dir = std::filesystem::temp_directory_path() / "gmorph_word_fuzz";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "w.bin").string();
+  ASSERT_TRUE(SaveWeights(path, ConstantWeights()));
+  std::ifstream in(path, std::ios::binary);
+  const std::string weights((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+
+  for (int64_t word : {int64_t{1} << 20, int64_t{1} << 24, int64_t{1} << 31, int64_t{1} << 62,
+                       int64_t{-1}}) {
+    for (size_t at = 0; at + sizeof(word) <= graph.size(); at += sizeof(word)) {
+      std::string mutant = graph;
+      std::memcpy(&mutant[at], &word, sizeof(word));
+      std::istringstream bytes(mutant);
+      const int64_t before = Tensor::TotalAllocatedBytes();
+      const GraphLoadResult loaded = TryLoadGraph(bytes);
+      EXPECT_LE(Tensor::TotalAllocatedBytes() - before, static_cast<int64_t>(mutant.size()))
+          << "graph word " << at / sizeof(word) << " = " << word;
+      EXPECT_EQ(loaded.ok(), loaded.diagnostics.ok()) << loaded.diagnostics.ToString();
+    }
+    for (size_t at = 0; at + sizeof(word) <= weights.size(); at += sizeof(word)) {
+      std::string mutant = weights;
+      std::memcpy(&mutant[at], &word, sizeof(word));
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(mutant.data(), static_cast<std::streamsize>(mutant.size()));
+      }
+      std::vector<std::vector<Tensor>> loaded;
+      const int64_t before = Tensor::TotalAllocatedBytes();
+      bool ok = true;
+      EXPECT_NO_THROW(ok = LoadWeights(path, loaded)) << "weights word " << at / sizeof(word);
+      EXPECT_LE(Tensor::TotalAllocatedBytes() - before, static_cast<int64_t>(mutant.size()))
+          << "weights word " << at / sizeof(word) << " = " << word;
+      EXPECT_TRUE(ok || loaded.empty());
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // ---- Artifact loader/linter mutation fuzzing ------------------------------
 //
 // Every text artifact has one scan shared by its tolerant loader and its
@@ -271,15 +354,66 @@ std::string ArtifactDir(const std::string& name) {
   return dir;
 }
 
-// Writer output with fixed contents, one file per line-record format. The
-// golden files in testdata pin these bytes.
+SearchCheckpoint ConstantCheckpoint() {
+  SearchCheckpoint ckpt;
+  ckpt.options_hash = 0x5eed;
+  ckpt.next_iteration = 3;
+  ckpt.elapsed_seconds = 12.5;
+  ckpt.original_latency_ms = 3.25;
+  ckpt.original_flops = 1000000;
+  ckpt.teacher_scores = {0.75, 0.5};
+  ckpt.found_improvement = true;
+  ckpt.best_graph = ConstantWeightGraph();
+  ckpt.best_latency_ms = 2.5;
+  ckpt.best_flops = 800000;
+  ckpt.best_cost = 800000.0;
+  ckpt.best_task_scores = {0.625, 0.5};
+  IterationRecord rec;
+  rec.iteration = 2;
+  rec.candidate_latency_ms = 1.5;
+  rec.candidate_flops = 900000;
+  rec.accuracy_drop = 0.03125;
+  rec.met_target = true;
+  rec.cache_hit = true;
+  rec.finetune_seconds = 0.75;
+  rec.elapsed_seconds = 4.0;
+  rec.best_latency_ms = 2.5;
+  rec.best_flops = 800000;
+  rec.stages.sample = 0.125;
+  rec.stages.finetune = 1.5;
+  ckpt.trace = {rec, rec};
+  ckpt.candidates_finetuned = 4;
+  ckpt.candidates_filtered = 2;
+  ckpt.candidates_rejected = 1;
+  ckpt.cache_hits = 3;
+  ckpt.stage_seconds.verify = 0.25;
+  ckpt.fingerprints = {"a", "bb"};
+  ckpt.elites.push_back({ConstantWeightGraph(), 12.0, 0.0625});
+  CapacitySignature sig;
+  sig.total = 10;
+  sig.shared_total = 2;
+  sig.per_task_total = {4, 6};
+  sig.per_task_specific = {2, 3};
+  ckpt.non_promising = {sig};
+  ckpt.policy.iteration = 7;
+  ckpt.policy.last_drop = 0.046875;
+  return ckpt;
+}
+
+// Writer output with fixed contents, one file per format. The golden files in
+// testdata pin these bytes.
 struct FreshArtifacts {
-  std::string tunedb, machine, recipe, evalcache;
+  std::string tunedb, machine, recipe, evalcache, weights, graph, checkpoint;
 };
 
 FreshArtifacts WriteFreshArtifacts(const std::string& dir) {
   FreshArtifacts out{dir + "/fresh.tunedb", dir + "/fresh.machine", dir + "/fresh.quantrecipe",
-                     ""};
+                     "", dir + "/fresh_weights.bin", dir + "/fresh_graph.bin",
+                     dir + "/fresh.ckpt"};
+  EXPECT_TRUE(SaveWeights(out.weights, ConstantWeights()));
+  EXPECT_TRUE(SaveGraph(out.graph, ConstantWeightGraph()));
+  EXPECT_TRUE(SaveCheckpoint(out.checkpoint, ConstantCheckpoint()));
+
   kernels::TuneDb db;
   kernels::ProblemDesc gemm = kernels::GemmProblem(kernels::OpFamily::kGemmNN, 8, 27, 1024);
   gemm.threads = 4;
@@ -342,6 +476,24 @@ TEST(ArtifactFuzzTest, FreshWriterOutputMatchesGoldens) {
   EXPECT_EQ(MaskFingerprint(ReadFile(fresh.machine)), ReadFile(Testdata("golden_machine.txt")));
   EXPECT_EQ(ReadFile(fresh.recipe), ReadFile(Testdata("golden_quantrecipe.txt")));
   EXPECT_EQ(ReadFile(fresh.evalcache), ReadFile(Testdata("golden_evalcache.txt")));
+  EXPECT_EQ(ReadFile(fresh.weights), ReadFile(Testdata("golden_weights.bin")));
+  EXPECT_EQ(ReadFile(fresh.graph), ReadFile(Testdata("golden_graph.bin")));
+  EXPECT_EQ(ReadFile(fresh.checkpoint), ReadFile(Testdata("golden_checkpoint.ckpt")));
+
+  // Each binary golden loads and saves back to its own bytes.
+  const std::string dir = ArtifactDir("golden_resave");
+  std::vector<std::vector<Tensor>> weights;
+  ASSERT_TRUE(LoadWeights(Testdata("golden_weights.bin"), weights));
+  ASSERT_TRUE(SaveWeights(dir + "/weights.bin", weights));
+  EXPECT_EQ(ReadFile(dir + "/weights.bin"), ReadFile(Testdata("golden_weights.bin")));
+  const GraphLoadResult graph = TryLoadGraph(Testdata("golden_graph.bin"));
+  ASSERT_TRUE(graph.ok()) << graph.diagnostics.ToString();
+  ASSERT_TRUE(SaveGraph(dir + "/graph.bin", *graph.graph));
+  EXPECT_EQ(ReadFile(dir + "/graph.bin"), ReadFile(Testdata("golden_graph.bin")));
+  const CheckpointLoadResult ckpt = TryLoadCheckpoint(Testdata("golden_checkpoint.ckpt"));
+  ASSERT_TRUE(ckpt.ok()) << ckpt.diagnostics.ToString();
+  ASSERT_TRUE(SaveCheckpoint(dir + "/checkpoint.ckpt", *ckpt.checkpoint));
+  EXPECT_EQ(ReadFile(dir + "/checkpoint.ckpt"), ReadFile(Testdata("golden_checkpoint.ckpt")));
 }
 
 std::vector<std::string> SplitLines(const std::string& text) {
@@ -541,8 +693,18 @@ TEST(ArtifactFuzzTest, CheckpointLoaderAndLinterAgree) {
   ckpt.non_promising = {sig};
   const std::string fresh = dir + "/fresh.ckpt";
   ASSERT_TRUE(SaveCheckpoint(fresh, ckpt));
+  // A checkpoint with empty lists, its trace, fingerprint or non-promising
+  // count overwritten far beyond the bytes after it.
+  SearchCheckpoint lean;
+  lean.best_graph = GraphForBenchmark(1);
+  const std::string lean_path = dir + "/lean.ckpt";
+  ASSERT_TRUE(SaveCheckpoint(lean_path, lean));
+  std::vector<std::string> seeds = {ReadFile(fresh), ReadFile(Testdata("checkpoint_corrupt.ckpt"))};
+  for (auto& [hostile, count] : testing::HostileCheckpointCounts(ReadFile(lean_path))) {
+    seeds.push_back(std::move(hostile));
+  }
   const std::string path = dir + "/mutant.ckpt";
-  FuzzArtifact({ReadFile(fresh), ReadFile(Testdata("checkpoint_corrupt.ckpt"))}, path, 300, 29,
+  FuzzArtifact(seeds, path, 300, 29,
                [&] {
                  const CheckpointLoadResult loaded = TryLoadCheckpoint(path);
                  const DiagnosticList lint = VerifyCheckpointFile(path);
@@ -551,6 +713,33 @@ TEST(ArtifactFuzzTest, CheckpointLoaderAndLinterAgree) {
                    EXPECT_FALSE(loaded.diagnostics.ok());
                  }
                });
+}
+
+// Config mutants stay at the Config layer: AnalyzeFile's config branch builds
+// models from `benchmark` and `cnn_width`, which a mutant can make huge.
+TEST(ArtifactFuzzTest, ConfigGettersReturnOrThrowCheckError) {
+  const std::string dir = ArtifactDir("config");
+  const std::string path = dir + "/mutant.cfg";
+  const std::string small =
+      "iterations = 4\nlearning_rate = 0.003\nverbose = true\nmetric = flops  # trailing\n";
+  FuzzArtifact({ReadFile(Testdata("cli_trace_smoke.cfg")), small}, path, 500, 31, [&] {
+    const auto returns_or_throws_check_error = [](const auto& call) {
+      EXPECT_NO_THROW({
+        try {
+          call();
+        } catch (const CheckError&) {
+        }
+      });
+    };
+    Config config;
+    returns_or_throws_check_error([&] { config = Config::FromString(ReadFile(path)); });
+    for (const auto& [key, value] : config.entries()) {
+      returns_or_throws_check_error([&] { config.GetString(key, ""); });
+      returns_or_throws_check_error([&] { config.GetInt(key, 0); });
+      returns_or_throws_check_error([&] { config.GetDouble(key, 0.0); });
+      returns_or_throws_check_error([&] { config.GetBool(key, false); });
+    }
+  });
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "src/data/benchmarks.h"
 #include "src/data/teacher.h"
 #include "src/models/zoo.h"
+#include "tests/test_util.h"
 
 namespace gmorph {
 namespace {
@@ -413,6 +415,29 @@ TEST(CheckpointTest, CorruptFileDiagnostics) {
   CheckpointLoadResult m = TryLoadCheckpoint(mangled);
   EXPECT_FALSE(m.ok());
   EXPECT_FALSE(m.diagnostics.ok());
+}
+
+// Trace, fingerprint and non-promising counts far beyond the bytes after a
+// valid embedded graph are refused before their lists are allocated, as the
+// truncation the load would reach anyway.
+TEST(CheckpointTest, HostileCountsReportTruncated) {
+  ScratchDir dir("ckpt_hostile");
+  const std::string clean = dir.File("clean.ckpt");
+  SearchCheckpoint ckpt;
+  ckpt.best_graph = TinyGraph(2);
+  ASSERT_TRUE(SaveCheckpoint(clean, ckpt));
+  ASSERT_TRUE(TryLoadCheckpoint(clean).ok());
+  std::ifstream in(clean, std::ios::binary);
+  const std::string bytes{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  const std::string path = dir.File("hostile.ckpt");
+  for (const auto& [hostile, count] : testing::HostileCheckpointCounts(bytes)) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << hostile;
+    const CheckpointLoadResult r = TryLoadCheckpoint(path);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(r.diagnostics.HasRule("ckpt.truncated")) << r.diagnostics.ToString();
+    EXPECT_NE(r.diagnostics.ToString().find(std::to_string(count)), std::string::npos)
+        << r.diagnostics.ToString();
+  }
 }
 
 TEST(ResumeTest, KillAndResumeMatchesUninterrupted) {

@@ -9,13 +9,13 @@
 #include <gtest/gtest.h>
 
 #include "src/analysis/graph_verifier.h"
-#include "src/common/serialization.h"
 #include "src/core/graph_io.h"
 #include "src/core/model_parser.h"
 #include "src/core/multitask_model.h"
 #include "src/core/mutation.h"
 #include "src/data/benchmarks.h"
 #include "src/models/zoo.h"
+#include "src/tensor/serialization.h"
 #include "tests/test_util.h"
 
 namespace gmorph {
@@ -239,6 +239,46 @@ TEST_F(GraphIoTest, CleanFileRoundTripsThroughVerifier) {
   ASSERT_TRUE(result.ok()) << result.diagnostics.ToString();
   EXPECT_EQ(result.graph->Fingerprint(), SampleGraph().Fingerprint());
   EXPECT_TRUE(result.diagnostics.ok());
+}
+
+// A 24-byte file declaring 2^20 nodes: the count passes the header's range
+// check, but the bytes left cannot hold one node record, so the load stops
+// before allocating the node list.
+TEST_F(GraphIoTest, NodeCountBeyondTheFileReportsTruncated) {
+  std::string bytes = SavedGraphBytes().substr(0, 24);
+  ASSERT_EQ(bytes.size(), 24u);
+  const int64_t header[2] = {0, int64_t{1} << 20};  // num_tasks, node count
+  std::memcpy(bytes.data() + 8, header, sizeof(header));
+  const GraphLoadResult result = LoadBytes(bytes);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.diagnostics.HasRule("io.truncated")) << result.diagnostics.ToString();
+  EXPECT_NE(result.diagnostics.ToString().find("1048576"), std::string::npos)
+      << result.diagnostics.ToString();
+}
+
+// A 272-byte file whose one node carries a weight of shape [2^14, 2^14]: the
+// shape passes the record's bounds, but its 1 GiB of floats is refused before
+// the tensor is allocated.
+TEST_F(GraphIoTest, WeightShapeBeyondTheFileAllocatesNothing) {
+  std::string bytes = SavedGraphBytes().substr(0, 8);  // the magic
+  const std::vector<int64_t> words = {
+      0, 1,                                                // num_tasks, node count
+      0, 0, 0, -1, 0,                                      // id, task, op, parent, capacity
+      0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,  // spec (strides at 1)
+      0, 0,                                                // rescale_in, rescale_out ranks
+      0, 0,                                                // input, output shape ranks
+      0,                                                   // child count
+      1, 2, int64_t{1} << 14, int64_t{1} << 14,            // one weight, rank 2
+  };
+  bytes.append(reinterpret_cast<const char*>(words.data()), words.size() * sizeof(int64_t));
+  ASSERT_EQ(bytes.size(), 272u);
+  const int64_t before = Tensor::TotalAllocatedBytes();
+  const GraphLoadResult result = LoadBytes(bytes);
+  EXPECT_LE(Tensor::TotalAllocatedBytes() - before, static_cast<int64_t>(bytes.size()));
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.diagnostics.HasRule("io.truncated")) << result.diagnostics.ToString();
+  EXPECT_NE(result.diagnostics.ToString().find("268435456"), std::string::npos)
+      << result.diagnostics.ToString();
 }
 
 // ResNet blocks export their BatchNorm running statistics after their

@@ -1,6 +1,7 @@
 #include "tests/test_util.h"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "src/obs/timing.h"
@@ -82,6 +83,21 @@ std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
     return v[v.size() / 2];
   };
   return {median(a_ms), median(b_ms)};
+}
+
+std::vector<std::pair<std::string, int64_t>> HostileCheckpointCounts(const std::string& clean) {
+  // With those lists empty, the file ends in the trace count, four counters,
+  // five stage times, the fingerprint, elite and non-promising counts and the
+  // two policy words; each pair is a count's word position from the end.
+  const std::pair<size_t, int64_t> kCounts[] = {
+      {15, int64_t{1} << 20}, {5, int64_t{1} << 22}, {3, int64_t{1} << 20}};
+  std::vector<std::pair<std::string, int64_t>> out;
+  for (const auto& [words_from_end, count] : kCounts) {
+    std::string bytes = clean;
+    std::memcpy(&bytes[bytes.size() - words_from_end * sizeof(int64_t)], &count, sizeof(count));
+    out.emplace_back(std::move(bytes), count);
+  }
+  return out;
 }
 
 }  // namespace gmorph::testing

@@ -3,8 +3,11 @@
 #define GMORPH_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +40,12 @@ void GradCheckModule(Module& module, const Tensor& x, float tolerance, Rng& rng,
 // during one of them flips a ratio check.
 std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
                                                const std::function<void()>& b, int runs);
+
+// `clean` holds a checkpoint whose trace, fingerprint, elite and
+// non-promising lists are empty. Returns three copies of it whose trace,
+// fingerprint or non-promising count reads 2^20, 2^22 or 2^20, each paired
+// with that count: far more records than the bytes after it can hold.
+std::vector<std::pair<std::string, int64_t>> HostileCheckpointCounts(const std::string& clean);
 
 }  // namespace gmorph::testing
 
