@@ -14,6 +14,7 @@
 #include "src/core/model_parser.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
+#include "src/obs/timing.h"
 #include "src/obs/trace.h"
 #include "src/tensor/serialization.h"
 
@@ -306,12 +307,12 @@ LatencyPair MeasureSummaryLatency(int bench_index, const SearchSummary& summary)
   }
   MultiTaskModel original_model(original, rng);
   MultiTaskModel best_model(best, rng);
-  LatencyOptions opts;
-  opts.measured_runs = 5;
-  LatencyPair pair;
-  pair.original_ms = MeasureLatencyMs(original_model, opts);
-  pair.best_ms = MeasureLatencyMs(best_model, opts);
-  return pair;
+  const Tensor input = Tensor::Zeros(original.node(original.root()).output_shape.WithBatch(1));
+  const std::vector<double> ms =
+      InterleavedMediansMs({[&] { original_model.Forward(input, /*training=*/false); },
+                            [&] { best_model.Forward(input, /*training=*/false); }},
+                           /*warmup=*/1, kLatencyRuns);
+  return {ms[0], ms[1]};
 }
 
 namespace {

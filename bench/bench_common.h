@@ -82,9 +82,14 @@ struct SearchSummary {
 // Rebuilds the original (unfused) graph of a benchmark from its teachers.
 AbsGraph OriginalGraph(int bench_index);
 
+// Timed runs behind every original-against-fused latency a bench reports.
+// The two sides are timed interleaved (InterleavedMediansMs), one warm-up
+// round first, so host load hits both alike.
+inline constexpr int kLatencyRuns = 31;
+
 // Loads the cached best graph of a search and measures the live wall-clock
-// latency of (original, best) on the eager engine. Used by benches that
-// report milliseconds.
+// batch-1 latency of (original, best) on the eager engine. Used by benches
+// that report milliseconds.
 struct LatencyPair {
   double original_ms = 0.0;
   double best_ms = 0.0;

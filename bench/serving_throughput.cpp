@@ -15,7 +15,6 @@
 #include "src/core/model_parser.h"
 #include "src/runtime/engine.h"
 #include "src/serving/server.h"
-#include "src/serving/serving_sim.h"
 
 namespace {
 

@@ -21,6 +21,7 @@
 #include "src/kernels/tune_db.h"
 #include "src/obs/json.h"
 #include "src/quant/recipe.h"
+#include "src/tensor/serialization.h"
 
 namespace gmorph {
 namespace {
@@ -210,6 +211,12 @@ AnalysisReport AnalyzeFile(const std::string& path, const AnalysisOptions& optio
       }
     }
     ApplySeverityPolicy(options, std::move(diags), &report);
+    return report;
+  }
+  if (head.rfind("GMORPHW1", 0) == 0 || head.rfind("1WHPROMG", 0) == 0) {
+    // Weight file (magic, either byte order).
+    report.input_kind = "weights";
+    ApplySeverityPolicy(options, VerifyWeightsFile(path), &report);
     return report;
   }
 

@@ -8,7 +8,7 @@
 //   RunPlanPasses(plan)     PlanVerifier + the dtype-propagation analysis +
 //                           the peak-memory certifier;
 //   AnalyzeFile(path)       sniffs the artifact kind from the file head
-//                           (binary graph magic, or the shared
+//                           (binary graph or weight-file magic, or the shared
 //                           "gmorph-<kind> vN" header line) and runs the
 //                           matching linter; unknown files fall back to being
 //                           parsed as a search config naming a benchmark.

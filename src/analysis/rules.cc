@@ -123,6 +123,11 @@ const RuleInfo kRules[] = {
     {"tune.open", kErr, "tuning DB file cannot be opened"},
     {"tune.solver", kErr, "recorded solver is not registered for the entry's family"},
     {"tune.version", kErr, "unsupported tuning-DB format version"},
+    {"weights.bounds", kErr, "weight-file shape rank, dimension or element count outside its sane range"},
+    {"weights.magic", kErr, "file does not start with the GMORPHW1 magic"},
+    {"weights.open", kErr, "weight file cannot be opened"},
+    {"weights.summary", kNote, "informational totals for a linted weight file"},
+    {"weights.truncated", kErr, "weight file ends mid-record, or declares more than its bytes can hold"},
 };
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include "src/nn/activations.h"
 
-#include <cmath>
-
 #include "src/common/check.h"
 #include "src/common/parallel_for.h"
 #include "src/tensor/tensor_ops.h"
@@ -41,60 +39,6 @@ Tensor ReLU::Backward(const Tensor& grad_out) {
   ParallelFor(0, grad_out.size(), kActGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       po[i] = px[i] > 0.0f ? pg[i] : 0.0f;
-    }
-  });
-  return grad_x;
-}
-
-Tensor Sigmoid::Forward(const Tensor& x, bool /*training*/) {
-  Tensor out(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
-  ParallelFor(0, x.size(), kActGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = 1.0f / (1.0f + std::exp(-px[i]));
-    }
-  });
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Sigmoid::Backward(const Tensor& grad_out) {
-  GMORPH_CHECK(!cached_output_.empty());
-  Tensor grad_x(grad_out.shape());
-  const float* py = cached_output_.data();
-  const float* pg = grad_out.data();
-  float* po = grad_x.data();
-  ParallelFor(0, grad_out.size(), kActGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = pg[i] * py[i] * (1.0f - py[i]);
-    }
-  });
-  return grad_x;
-}
-
-Tensor Tanh::Forward(const Tensor& x, bool /*training*/) {
-  Tensor out(x.shape());
-  const float* px = x.data();
-  float* po = out.data();
-  ParallelFor(0, x.size(), kActGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = std::tanh(px[i]);
-    }
-  });
-  cached_output_ = out;
-  return out;
-}
-
-Tensor Tanh::Backward(const Tensor& grad_out) {
-  GMORPH_CHECK(!cached_output_.empty());
-  Tensor grad_x(grad_out.shape());
-  const float* py = cached_output_.data();
-  const float* pg = grad_out.data();
-  float* po = grad_x.data();
-  ParallelFor(0, grad_out.size(), kActGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = pg[i] * (1.0f - py[i] * py[i]);
     }
   });
   return grad_x;

@@ -1,5 +1,5 @@
-// Pointwise activation modules: ReLU, GELU (tanh approximation, computed in
-// its sigmoid form by the shared Gelu() kernel), Sigmoid and Tanh.
+// Pointwise activation modules: ReLU and GELU (tanh approximation, computed
+// in its sigmoid form by the shared Gelu() kernel).
 #ifndef GMORPH_SRC_NN_ACTIVATIONS_H_
 #define GMORPH_SRC_NN_ACTIVATIONS_H_
 
@@ -34,32 +34,6 @@ class GELU : public Module {
 
  private:
   Tensor cached_input_;
-};
-
-class Sigmoid : public Module {
- public:
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "Sigmoid"; }
-
- protected:
-  std::unique_ptr<Module> CloneImpl() const override { return std::make_unique<Sigmoid>(*this); }
-
- private:
-  Tensor cached_output_;
-};
-
-class Tanh : public Module {
- public:
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override { return "Tanh"; }
-
- protected:
-  std::unique_ptr<Module> CloneImpl() const override { return std::make_unique<Tanh>(*this); }
-
- private:
-  Tensor cached_output_;
 };
 
 // Free-function forms used by fused kernels.

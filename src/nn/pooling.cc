@@ -22,21 +22,6 @@ std::string MaxPool2d::Name() const {
   return os.str();
 }
 
-Tensor AvgPool2d::Forward(const Tensor& x, bool /*training*/) {
-  cached_input_shape_ = x.shape();
-  return AvgPool2dForward(x, kernel_, stride_);
-}
-
-Tensor AvgPool2d::Backward(const Tensor& grad_out) {
-  return AvgPool2dBackward(cached_input_shape_, grad_out, kernel_, stride_);
-}
-
-std::string AvgPool2d::Name() const {
-  std::ostringstream os;
-  os << "AvgPool2d(k=" << kernel_ << ",s=" << stride_ << ")";
-  return os.str();
-}
-
 Tensor GlobalAvgPool2d::Forward(const Tensor& x, bool /*training*/) {
   cached_input_shape_ = x.shape();
   return GlobalAvgPoolForward(x);

@@ -32,25 +32,6 @@ class MaxPool2d : public Module {
   std::vector<int64_t> argmax_;
 };
 
-class AvgPool2d : public Module {
- public:
-  AvgPool2d(int64_t kernel, int64_t stride) : kernel_(kernel), stride_(stride) {}
-
-  Tensor Forward(const Tensor& x, bool training) override;
-  Tensor Backward(const Tensor& grad_out) override;
-  std::string Name() const override;
-
- protected:
-  std::unique_ptr<Module> CloneImpl() const override {
-    return std::make_unique<AvgPool2d>(*this);
-  }
-
- private:
-  int64_t kernel_;
-  int64_t stride_;
-  Shape cached_input_shape_;
-};
-
 class GlobalAvgPool2d : public Module {
  public:
   Tensor Forward(const Tensor& x, bool training) override;

@@ -8,9 +8,52 @@
 namespace gmorph::obs {
 namespace {
 
+void AppendByteEscape(std::string& out, unsigned char byte) {
+  char buf[8];
+  std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+  out += buf;
+}
+
+// Length of the well-formed UTF-8 sequence that starts at text[i], or 0 when
+// none does. Overlong forms, surrogates (U+D800-U+DFFF) and code points past
+// U+10FFFF are malformed, as in a strict decoder.
+size_t Utf8SequenceLength(std::string_view text, size_t i) {
+  const auto byte = [&](size_t k) { return static_cast<unsigned char>(text[k]); };
+  const unsigned char lead = byte(i);
+  size_t length = 0;
+  unsigned char lo = 0x80;  // range of the first continuation byte
+  unsigned char hi = 0xbf;
+  if (lead < 0x80) {
+    return 1;
+  } else if (lead >= 0xc2 && lead <= 0xdf) {
+    length = 2;
+  } else if (lead >= 0xe0 && lead <= 0xef) {
+    length = 3;
+    lo = lead == 0xe0 ? 0xa0 : 0x80;
+    hi = lead == 0xed ? 0x9f : 0xbf;
+  } else if (lead >= 0xf0 && lead <= 0xf4) {
+    length = 4;
+    lo = lead == 0xf0 ? 0x90 : 0x80;
+    hi = lead == 0xf4 ? 0x8f : 0xbf;
+  } else {
+    return 0;
+  }
+  if (text.size() - i < length || byte(i + 1) < lo || byte(i + 1) > hi) {
+    return 0;
+  }
+  for (size_t k = 2; k < length; ++k) {
+    if (byte(i + k) < 0x80 || byte(i + k) > 0xbf) {
+      return 0;
+    }
+  }
+  return length;
+}
+
 void AppendJsonString(std::string& out, std::string_view text) {
   out += '"';
-  for (const char c : text) {
+  for (size_t i = 0, length = 1; i < text.size(); i += length) {
+    const char c = text[i];
+    length = 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -28,12 +71,12 @@ void AppendJsonString(std::string& out, std::string_view text) {
         out += "\\r";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+        length = static_cast<unsigned char>(c) < 0x20 ? 0 : Utf8SequenceLength(text, i);
+        if (length == 0) {
+          AppendByteEscape(out, static_cast<unsigned char>(c));
+          length = 1;
         } else {
-          out += c;
+          out.append(text.substr(i, length));
         }
     }
   }

@@ -11,7 +11,10 @@
 // Integers print in decimal, Number() as %.6g and Fixed() at the given
 // precision; Raw() inserts a value that is already rendered JSON. In keys and
 // strings '"' and '\' are backslash-escaped, \n, \t and \r use their short
-// forms, and every other control character below 0x20 becomes \u00XX.
+// forms, and every other control character below 0x20 becomes \u00XX. So does
+// each byte that is not part of a well-formed UTF-8 sequence (overlong forms,
+// surrogates and code points past U+10FFFF included), so every document is
+// valid UTF-8 whatever bytes a message quotes; well-formed text is copied.
 //
 // The same module writes the files: WriteJsonFile() is the one "open, write,
 // check" path, and WriteJsonFileAtExit() the one at-exit dump hook behind

@@ -13,20 +13,36 @@ int64_t MonotonicNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - anchor).count();
 }
 
-double MedianTimedMs(const std::function<void()>& fn, int warmup, int repeats) {
-  GMORPH_CHECK(repeats >= 1, "MedianTimedMs needs repeats >= 1, got " << repeats);
+std::vector<double> InterleavedMediansMs(const std::vector<std::function<void()>>& fns,
+                                         int warmup, int repeats) {
+  GMORPH_CHECK(repeats >= 1, "InterleavedMediansMs needs repeats >= 1, got " << repeats);
   for (int i = 0; i < warmup; ++i) {
-    fn();
+    for (const std::function<void()>& fn : fns) {
+      fn();
+    }
   }
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(repeats));
+  std::vector<std::vector<double>> samples(fns.size());
+  for (std::vector<double>& s : samples) {
+    s.reserve(static_cast<size_t>(repeats));
+  }
   for (int i = 0; i < repeats; ++i) {
-    Timer timer;
-    fn();
-    samples.push_back(timer.Millis());
+    for (size_t f = 0; f < fns.size(); ++f) {
+      Timer timer;
+      fns[f]();
+      samples[f].push_back(timer.Millis());
+    }
   }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+  std::vector<double> medians;
+  medians.reserve(fns.size());
+  for (std::vector<double>& s : samples) {
+    std::sort(s.begin(), s.end());
+    medians.push_back(s[s.size() / 2]);
+  }
+  return medians;
+}
+
+double MedianTimedMs(const std::function<void()>& fn, int warmup, int repeats) {
+  return InterleavedMediansMs({fn}, warmup, repeats).front();
 }
 
 }  // namespace gmorph

@@ -7,17 +7,20 @@
 //    streams line up when viewed together.
 //  - Timer: RAII-free stopwatch used by the latency estimator and search-time
 //    accounting.
-//  - MedianTimedMs(): the shared warmup+median measurement loop. Both the
-//    search-time latency estimator (src/core/latency.cc) and the engine bench
-//    path (src/runtime/engine.cc) report the median of N timed runs after a
-//    warmup; keeping the loop in one place guarantees the two measurements
-//    are taken identically.
+//  - InterleavedMediansMs(): the one timing loop. It times N callables
+//    round-robin after a warmup and reports each one's median, so an A/B
+//    comparison (original against fused, one engine against another) sees
+//    the same host load on both sides.
+//  - MedianTimedMs(): its N = 1 case, behind the search-time latency
+//    estimator (src/core/latency.cc), the engine latency helper
+//    (src/runtime/engine.cc), the autotuner and the machine probe.
 #ifndef GMORPH_SRC_OBS_TIMING_H_
 #define GMORPH_SRC_OBS_TIMING_H_
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace gmorph {
 
@@ -43,8 +46,17 @@ class Timer {
   Clock::time_point start_;
 };
 
-// Runs `fn` `warmup` times untimed, then `repeats` times timed, and returns
-// the median wall-clock duration in milliseconds. `repeats` must be >= 1.
+// Runs `warmup` untimed rounds, then `repeats` timed rounds; each round calls
+// every callable once, in order. Returns each callable's median wall-clock
+// duration in milliseconds (the upper median when `repeats` is even). Loops
+// timed one after the other see different host load, and a burst during one
+// of them biases their ratio; interleaved rounds share it. `repeats` must be
+// >= 1.
+std::vector<double> InterleavedMediansMs(const std::vector<std::function<void()>>& fns,
+                                         int warmup, int repeats);
+
+// InterleavedMediansMs of `fn` alone: `warmup` untimed calls, then the median
+// of `repeats` timed ones.
 double MedianTimedMs(const std::function<void()>& fn, int warmup, int repeats);
 
 }  // namespace gmorph

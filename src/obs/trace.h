@@ -50,8 +50,8 @@ namespace internal {
 extern std::atomic<bool> g_trace_enabled;
 // Records a completed span [start_ns, end_ns] (MonotonicNowNs time base) into
 // the calling thread's ring, creating/registering the ring on first use.
-// `virtual_tid` >= 0 overrides the thread id in the export (virtual-time
-// lanes, e.g. the serving simulator's request tracks).
+// `virtual_tid` >= 0 overrides the thread id in the export (virtual lanes,
+// e.g. the threaded server's request tracks).
 void RecordComplete(const char* name, size_t name_len, TraceCat cat, int64_t start_ns,
                     int64_t end_ns, int virtual_tid);
 }  // namespace internal
@@ -107,9 +107,9 @@ class TraceSpan {
 };
 
 // Records a span with explicit timestamps (microseconds on the MonotonicNowNs
-// time base) onto a virtual thread lane. Used for simulated timelines (the
-// serving queue simulator) where wall-clock RAII scoping does not apply.
-// No-op when tracing is disabled.
+// time base) onto a virtual thread lane. Used where RAII scoping does not
+// apply: the threaded server records each request's lifecycle, which spans
+// threads, once it completes. No-op when tracing is disabled.
 void RecordManualSpan(const std::string& name, TraceCat cat, double ts_us, double dur_us,
                       int virtual_tid);
 

@@ -1,27 +1,26 @@
-// Serving flight recorder: a fixed-size lock-free ring of request lifecycle
-// events shared by both scheduler backends (the virtual-time simulator and
-// the threaded server). Where the tracer answers "where did the time go",
-// the flight recorder answers "what did the scheduler decide, in order" —
-// and turns a "lost N requests" assertion into a replayable record.
+// Serving flight recorder: a fixed-size lock-free ring of the threaded
+// server's request lifecycle events. Where the tracer answers "where did the
+// time go", the flight recorder answers "what did the scheduler decide, in
+// order" — and turns a "lost N requests" assertion into a replayable record.
 //
 // Cost contract (same as the tracer): when recording is disabled, a
 // RecordFlightEvent call is a single relaxed atomic load — no clock read, no
-// allocation, no ring write — so both backends keep their instrumentation in
+// allocation, no ring write — so the server keeps its instrumentation in
 // release hot paths unconditionally.
 //
 // Ring discipline: writers claim a slot with one fetch_add on the global
 // cursor and publish the completed entry with a release store of its ticket;
 // when the ring wraps, the oldest events are overwritten (dropped count =
 // total - capacity). The snapshot/export path is meant to run with recording
-// quiesced (after Drain()/Stop(), or at virtual-time completion); an entry
-// caught mid-overwrite is skipped, never torn.
+// quiesced (after Drain()/Stop()); an entry caught mid-overwrite is skipped,
+// never torn.
 //
 // Event vocabulary (one line per request lifecycle):
 //   admit        — request seen by the scheduler (request = submission index)
 //   shed         — rejected by SLA admission (request = index)
 //   enqueue      — admitted into the queue (request = index)
 //   batch-formed — a batch was cut from the queue (request = batch size,
-//                  aux = replica slot; -1 in the simulator)
+//                  aux = replica slot)
 //   run-start    — request entered a running batch (request = index, aux = slot)
 //   done         — request completed (request = index, aux = slot)
 //   swap         — replica hot-swap applied (request = slot)
@@ -51,7 +50,7 @@ const char* FlightEventKindName(FlightEventKind kind);
 struct FlightEvent {
   uint64_t seq = 0;  // global record order (monotonic across the whole run)
   FlightEventKind kind = FlightEventKind::kAdmit;
-  double t_ms = 0.0;    // backend clock: virtual ms (sim) or wall ms (server)
+  double t_ms = 0.0;    // wall ms on the server's clock
   int64_t request = -1; // see the vocabulary above
   int64_t aux = -1;     // replica slot where meaningful, else -1
 };

@@ -107,8 +107,6 @@ ServingStats StatsBuilder::Finalize(double makespan_ms, const ServiceTimeTable& 
   }
   std::vector<double> sorted = latencies_;
   std::sort(sorted.begin(), sorted.end());
-  // Summing the *sorted* latencies keeps the mean bit-identical to the
-  // pre-refactor simulator (floating-point addition order matters).
   double sum = 0.0;
   for (double l : sorted) {
     sum += l;
@@ -146,11 +144,9 @@ ServingMetrics& ServingMetrics::Get() {
   return *metrics;
 }
 
-void NameServingTraceLanes(const char* prefix) {
-  obs::SetVirtualLaneName(kServingServerLane, std::string(prefix) + "/server");
+void NameServingTraceLanes() {
   for (int l = 0; l < kServingNumRequestLanes; ++l) {
-    obs::SetVirtualLaneName(kServingRequestLaneBase + l,
-                            std::string(prefix) + "/requests-" + std::to_string(l));
+    obs::SetVirtualLaneName(kServingRequestLaneBase + l, "serve/requests-" + std::to_string(l));
   }
 }
 

@@ -1,21 +1,12 @@
-// Scheduler core shared by both serving backends.
+// Scheduling policy of the threaded server (server.h), which serves
+// `gmorph_cli --serve`, bench/serving_throughput and perfbench's serve-b6.
 //
-// The serving layer executes one scheduling policy behind two backends:
-//
-//   - serving_sim.h   — deterministic virtual-time simulator (paper §7): the
-//                       policy replayed over a Poisson arrival schedule with
-//                       calibrated service times, bit-for-bit reproducible.
-//   - server.h        — real threaded multi-model server: the same policy
-//                       driving fused-engine replicas on worker threads under
-//                       wall-clock load.
-//
-// Everything policy-shaped lives here so the two backends cannot drift:
-// arrival-schedule generation, the calibrated service-time table (one shared
-// calibration path — the sim and the server measure identically), batch
-// forming, SLA-aware admission (shed a request whose deadline is provably
-// unmeetable from the calibrated service times), the stats aggregation that
-// turns per-request latencies into ServingStats, and the obs instruments /
-// trace lanes both backends record through.
+// Everything policy-shaped lives here: arrival-schedule generation, the
+// calibrated service-time table (one calibration path, CalibrateServiceTimes),
+// batch forming, SLA-aware admission (shed a request whose deadline is
+// provably unmeetable from the calibrated service times), the stats
+// aggregation that turns per-request latencies into ServingStats, and the obs
+// instruments / trace lanes the server records through.
 #ifndef GMORPH_SRC_SERVING_SCHEDULER_H_
 #define GMORPH_SRC_SERVING_SCHEDULER_H_
 
@@ -26,23 +17,6 @@
 #include "src/runtime/engine.h"
 
 namespace gmorph {
-
-// Options shared by both scheduler backends. The virtual-time simulator uses
-// every field; the threaded server takes max_batch / sla_ms from here and gets
-// its arrival stream from the load generator.
-struct ServingOptions {
-  double arrival_qps = 200.0;  // Poisson arrival rate
-  int num_requests = 500;
-  int max_batch = 8;
-  uint64_t seed = 1;
-  // Latency calibration repetitions per batch size.
-  int calibration_runs = 3;
-  // SLA-aware admission: a request whose deadline (arrival + sla_ms) is
-  // provably unmeetable from the calibrated service times is shed at admission
-  // instead of queued (DeadlineUnmeetable below). 0 disables admission
-  // control — every request is queued, as before the policy existed.
-  double sla_ms = 0.0;
-};
 
 struct ServingStats {
   double throughput_qps = 0.0;  // completed requests / makespan
@@ -58,9 +32,8 @@ struct ServingStats {
   std::vector<double> service_time_ms;
 };
 
-// Calibrated per-batch-size service times. Both backends price work through
-// one of these, so the sim's virtual clock and the server's admission bound
-// come from the same measurement.
+// Calibrated per-batch-size service times; the server's admission bound and
+// the benches' capacity estimates are priced from one of these.
 class ServiceTimeTable {
  public:
   ServiceTimeTable() = default;
@@ -83,15 +56,13 @@ class ServiceTimeTable {
 // Measures the real per-batch-size latency of `engine` for batch sizes
 // 1..max_batch (median of `repeats` timed runs after `warmup`, one
 // preallocated input per batch size reused across every run so measured times
-// exclude allocation noise). This is the single calibration path: the
-// simulator's SimulateServing and the threaded server both use it.
+// exclude allocation noise). This is the single calibration path.
 ServiceTimeTable CalibrateServiceTimes(InferenceEngine& engine, const Shape& per_sample_input,
                                        int max_batch, int repeats, int warmup = 1);
 
 // Poisson arrival schedule: absolute arrival times in milliseconds from t=0,
 // exponential inter-arrival gaps with mean 1000/arrival_qps. Deterministic
-// given the seed; the simulator replays this in virtual time and the bench
-// load generator replays it against the wall clock.
+// given the seed; the bench load generators replay it against the wall clock.
 std::vector<double> GenerateArrivalsMs(double arrival_qps, int num_requests, uint64_t seed);
 
 // Bursty variant: a two-state modulated Poisson process alternating between a
@@ -113,15 +84,13 @@ inline int NextBatchSize(int queued, int max_batch) {
 // is priced at the table's fastest service time, and in-flight work is
 // ignored — so a true result means no schedule can save the request and
 // shedding it is safe, while a false result only means "not provably late"
-// (the request may still miss its SLA). The simulator passes servers = 1; the
-// threaded server passes its replica count.
+// (the request may still miss its SLA). The threaded server passes its
+// replica count as `servers`.
 bool DeadlineUnmeetable(double now_ms, double deadline_ms, int queued_ahead,
-                        const ServiceTimeTable& table, int max_batch, int servers = 1);
+                        const ServiceTimeTable& table, int max_batch, int servers);
 
-// Accumulates per-request / per-batch observations into ServingStats. Both
-// backends finalize through this so percentile math cannot drift between the
-// simulated and the real server. Not thread-safe; the threaded server records
-// under its stats lock.
+// Accumulates per-request / per-batch observations into ServingStats. Not
+// thread-safe; the threaded server records under its stats lock.
 class StatsBuilder {
  public:
   void AddLatency(double latency_ms) { latencies_.push_back(latency_ms); }
@@ -146,7 +115,7 @@ class StatsBuilder {
   int num_shed_ = 0;
 };
 
-// The obs instruments both backends record through, resolved once (metric
+// The obs instruments the server records through, resolved once (metric
 // names are part of the serving contract: DESIGN.md "Observability").
 struct ServingMetrics {
   obs::Histogram& latency_ms;     // serving.request_latency_ms
@@ -162,20 +131,18 @@ struct ServingMetrics {
 };
 
 // Trace lanes for per-request spans: requests round-robin across a small pool
-// of virtual lanes so overlapping lifecycles stay readable in Perfetto. The
-// simulator anchors them at the current real clock; the threaded server uses
-// its real start-of-serving anchor. Lane ids sit clear of real thread ids.
-inline constexpr int kServingServerLane = 1000;
+// of virtual lanes so overlapping lifecycles stay readable in Perfetto,
+// anchored at the server's start-of-serving clock. Lane ids sit clear of real
+// thread ids.
 inline constexpr int kServingRequestLaneBase = 1001;
 inline constexpr int kServingNumRequestLanes = 32;
 
-// Names the server lane and the request lanes (idempotent; `prefix` is "sim"
-// or "serve" so the two backends' lanes stay distinguishable per export).
-void NameServingTraceLanes(const char* prefix);
+// Names the request lanes "serve/requests-<n>" (idempotent).
+void NameServingTraceLanes();
 
 // Records one completed request as a manual span on its round-robin lane.
 // `anchor_us` is the MonotonicNowNs-based microsecond timestamp of t=0 of the
-// backend's clock. No-op when tracing is disabled.
+// server's clock. No-op when tracing is disabled.
 void EmitRequestSpan(double anchor_us, double arrival_ms, double latency_ms,
                      int64_t request_index);
 

@@ -21,7 +21,7 @@ ThreadedServer::ThreadedServer(ReplicaPool* pool, ServiceTimeTable table,
                "SLA admission needs a calibrated service-time table");
   t0_ns_ = MonotonicNowNs();
   anchor_us_ = static_cast<double>(t0_ns_) * 1e-3;
-  NameServingTraceLanes("serve");
+  NameServingTraceLanes();
   if (!options_.flight_recorder_path.empty()) {
     StartFlightRecorder();
   }
@@ -80,8 +80,7 @@ void ThreadedServer::WorkerLoop(int slot) {
         }
         continue;
       }
-      // Continuous batching: take everything waiting, up to the cap — the
-      // same NextBatchSize rule the virtual-time simulator executes.
+      // Continuous batching: take everything waiting, up to the cap.
       const int size = NextBatchSize(static_cast<int>(queue_.size()), options_.max_batch);
       m.queue_depth.Observe(static_cast<double>(queue_.size()));
       batch.clear();

@@ -1,13 +1,12 @@
-// Real threaded multi-model server: the wall-clock backend of the serving
-// scheduler core (scheduler.h).
+// Real threaded multi-model server, running the scheduling policy of
+// scheduler.h on fused-engine replicas under wall-clock load.
 //
 // Architecture:
 //
 //   Submit() ──► lock-guarded request queue ──► worker threads (one per
 //   replica slot) forming continuous/dynamic batches: each worker takes
-//   everything queued up to max_batch (NextBatchSize — the same batch-forming
-//   rule the virtual-time simulator executes), gathers the request payloads
-//   into its replica's prebound batch storage, and runs the engine.
+//   everything queued up to max_batch (NextBatchSize), gathers the request
+//   payloads into its replica's prebound batch storage, and runs the engine.
 //
 //   - SLA admission happens in Submit(): a request whose deadline is provably
 //     unmeetable from the calibrated service-time table (DeadlineUnmeetable,
@@ -15,10 +14,10 @@
 //   - Hot-swap: SwapReplica() atomically replaces a slot's engine under load
 //     (ReplicaPool::Swap); the in-flight batch completes on the old engine
 //     and nothing queued is dropped.
-//   - Observability: latency / batch-size / queue-depth flow into the same
-//     serving.* histograms the simulator records, and completed requests are
+//   - Observability: latency / batch-size / queue-depth flow into the
+//     serving.* histograms (ServingMetrics), and completed requests are
 //     emitted as per-request trace lanes anchored at the server's clock
-//     origin, so a threaded-serving trace reads like a simulated one.
+//     origin.
 //
 // Replica workers are dedicated threads (named "serve-<slot>"), deliberately
 // *not* tasks on the process kernel pool: a batch's kernels parallelize on

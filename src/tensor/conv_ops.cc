@@ -571,70 +571,6 @@ Tensor MaxPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
   return grad_x;
 }
 
-Tensor AvgPool2dForward(const Tensor& x, int64_t kernel, int64_t stride) {
-  GMORPH_CHECK(x.shape().Rank() == 4);
-  const int64_t n = x.shape()[0];
-  const int64_t c = x.shape()[1];
-  const int64_t h = x.shape()[2];
-  const int64_t w = x.shape()[3];
-  const int64_t oh = ConvOutDim(h, kernel, stride, 0);
-  const int64_t ow = ConvOutDim(w, kernel, stride, 0);
-  Tensor out(Shape{n, c, oh, ow});
-  const float* px = x.data();
-  float* po = out.data();
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  ParallelFor(0, n * c, ItemGrain(oh * ow), [&](int64_t lo, int64_t hi) {
-    for (int64_t plane = lo; plane < hi; ++plane) {
-      const float* src = px + plane * h * w;
-      float* dst = po + plane * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int64_t ky = 0; ky < kernel; ++ky) {
-            for (int64_t kx = 0; kx < kernel; ++kx) {
-              acc += src[(oy * stride + ky) * w + ox * stride + kx];
-            }
-          }
-          dst[oy * ow + ox] = acc * inv;
-        }
-      }
-    }
-  });
-  return out;
-}
-
-Tensor AvgPool2dBackward(const Shape& input_shape, const Tensor& grad_out, int64_t kernel,
-                         int64_t stride) {
-  GMORPH_CHECK(input_shape.Rank() == 4 && grad_out.shape().Rank() == 4);
-  const int64_t n = input_shape[0];
-  const int64_t c = input_shape[1];
-  const int64_t h = input_shape[2];
-  const int64_t w = input_shape[3];
-  const int64_t oh = grad_out.shape()[2];
-  const int64_t ow = grad_out.shape()[3];
-  Tensor grad_x(input_shape);
-  float* gx = grad_x.data();
-  const float* go = grad_out.data();
-  const float inv = 1.0f / static_cast<float>(kernel * kernel);
-  ParallelFor(0, n * c, ItemGrain(oh * ow), [&](int64_t lo, int64_t hi) {
-    for (int64_t plane = lo; plane < hi; ++plane) {
-      float* dst = gx + plane * h * w;
-      const float* src = go + plane * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          const float g = src[oy * ow + ox] * inv;
-          for (int64_t ky = 0; ky < kernel; ++ky) {
-            for (int64_t kx = 0; kx < kernel; ++kx) {
-              dst[(oy * stride + ky) * w + ox * stride + kx] += g;
-            }
-          }
-        }
-      }
-    }
-  });
-  return grad_x;
-}
-
 Tensor GlobalAvgPoolForward(const Tensor& x) {
   GMORPH_CHECK(x.shape().Rank() == 4);
   Tensor out(Shape{x.shape()[0], x.shape()[1]});

@@ -76,11 +76,6 @@ void MaxPool2dForwardInto(const Tensor& x, int64_t kernel, int64_t stride, Tenso
 Tensor MaxPool2dBackward(const Shape& input_shape, const Tensor& grad_out,
                          const std::vector<int64_t>& argmax);
 
-// Average pooling over non-overlapping-or-strided windows.
-Tensor AvgPool2dForward(const Tensor& x, int64_t kernel, int64_t stride);
-Tensor AvgPool2dBackward(const Shape& input_shape, const Tensor& grad_out, int64_t kernel,
-                         int64_t stride);
-
 // Global average pooling: (N,C,H,W) -> (N,C).
 Tensor GlobalAvgPoolForward(const Tensor& x);
 void GlobalAvgPoolForwardInto(const Tensor& x, Tensor& out);

@@ -69,16 +69,30 @@ bool SaveWeights(const std::string& path, const std::vector<std::vector<Tensor>>
   return static_cast<bool>(out);
 }
 
-bool LoadWeights(const std::string& path, std::vector<std::vector<Tensor>>& weights) {
+namespace {
+
+// The one scan of a weight file, behind both LoadWeights and
+// VerifyWeightsFile. Leaves `weights` empty when it fails.
+bool ScanWeights(const std::string& path, std::vector<std::vector<Tensor>>& weights,
+                 DiagnosticList& diags) {
   weights.clear();
   std::ifstream in(path, std::ios::binary);
-  DiagnosticList unused;  // LoadWeights returns only a verdict
-  BinaryReader r(in, {"weights", path, "file"}, unused);
+  if (!in) {
+    diags.Error("weights.open", path) << "cannot open weight file";
+    return false;
+  }
+  BinaryReader r(in, {"weights", path, "file"}, diags);
   // Each group and each tensor takes at least its 8-byte count or rank.
   uint64_t magic = 0;
   uint64_t groups = 0;
-  if (!r.Pod(magic, "header") || magic != kMagic || !r.Pod(groups, "header") ||
-      !r.Fits(groups, sizeof(uint64_t), "group list")) {
+  if (!r.Pod(magic, "header")) {
+    return false;
+  }
+  if (magic != kMagic) {
+    r.Fail("magic", "not a gmorph weight file (bad magic)");
+    return false;
+  }
+  if (!r.Pod(groups, "header") || !r.Fits(groups, sizeof(uint64_t), "group list")) {
     return false;
   }
   weights.resize(groups);
@@ -95,6 +109,32 @@ bool LoadWeights(const std::string& path, std::vector<std::vector<Tensor>>& weig
     weights.clear();
   }
   return !r.failed();
+}
+
+}  // namespace
+
+bool LoadWeights(const std::string& path, std::vector<std::vector<Tensor>>& weights) {
+  DiagnosticList unused;  // LoadWeights returns only a verdict
+  return ScanWeights(path, weights, unused);
+}
+
+DiagnosticList VerifyWeightsFile(const std::string& path) {
+  DiagnosticList diags;
+  std::vector<std::vector<Tensor>> weights;
+  if (ScanWeights(path, weights, diags)) {
+    size_t tensors = 0;
+    int64_t floats = 0;
+    for (const std::vector<Tensor>& group : weights) {
+      tensors += group.size();
+      for (const Tensor& t : group) {
+        floats += t.size();
+      }
+    }
+    diags.Note("weights.summary", path)
+        << "weight file with " << weights.size() << " groups, " << tensors << " tensors, "
+        << floats << " floats";
+  }
+  return diags;
 }
 
 }  // namespace gmorph

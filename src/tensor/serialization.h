@@ -21,6 +21,11 @@ bool SaveWeights(const std::string& path, const std::vector<std::vector<Tensor>>
 // mismatch (leaving `weights` empty).
 bool LoadWeights(const std::string& path, std::vector<std::vector<Tensor>>& weights);
 
+// Lints a weight file with the scan LoadWeights runs, so the two agree on
+// every file: weights.open, weights.magic, weights.truncated and
+// weights.bounds errors, and a weights.summary note when the file loads.
+DiagnosticList VerifyWeightsFile(const std::string& path);
+
 // A shape record is an int64 rank, then int64 dims; a tensor record is a shape
 // record, then the floats. A rank outside [0, 8], a dim outside [0, 2^24] or
 // more than 2^28 elements is <prefix>.bounds ("<what>: ..."). ReadTensor

@@ -38,20 +38,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  CheckSameShape(a, b);
-  Tensor out(a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  ParallelFor(0, a.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = pa[i] - pb[i];
-    }
-  });
-  return out;
-}
-
 Tensor Mul(const Tensor& a, const Tensor& b) {
   CheckSameShape(a, b);
   Tensor out(a.shape());
@@ -82,17 +68,6 @@ void ScaleInPlace(Tensor& a, float s) {
   ParallelFor(0, a.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       pa[i] *= s;
-    }
-  });
-}
-
-void AxpyInPlace(Tensor& y, float alpha, const Tensor& x) {
-  CheckSameShape(y, x);
-  float* py = y.data();
-  const float* px = x.data();
-  ParallelFor(0, y.size(), kElementwiseGrain, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      py[i] += alpha * px[i];
     }
   });
 }
@@ -238,32 +213,6 @@ Tensor SoftmaxLastDim(const Tensor& x) {
   return out;
 }
 
-Tensor SoftmaxBackwardLastDim(const Tensor& y, const Tensor& grad_y) {
-  CheckSameShape(y, grad_y);
-  const int64_t cols = y.shape()[-1];
-  const int64_t rows = y.size() / cols;
-  Tensor out(y.shape());
-  const float* py = y.data();
-  const float* pg = grad_y.data();
-  float* po = out.data();
-  const int64_t grain = std::max<int64_t>(1, kElementwiseGrain / std::max<int64_t>(1, cols));
-  ParallelFor(0, rows, grain, [&](int64_t row_lo, int64_t row_hi) {
-    for (int64_t r = row_lo; r < row_hi; ++r) {
-      const float* yr = py + r * cols;
-      const float* gr = pg + r * cols;
-      float* orow = po + r * cols;
-      float dot = 0.0f;
-      for (int64_t j = 0; j < cols; ++j) {
-        dot += yr[j] * gr[j];
-      }
-      for (int64_t j = 0; j < cols; ++j) {
-        orow[j] = yr[j] * (gr[j] - dot);
-      }
-    }
-  });
-  return out;
-}
-
 float SumAll(const Tensor& a) {
   double s = 0.0;
   const float* p = a.data();
@@ -271,11 +220,6 @@ float SumAll(const Tensor& a) {
     s += p[i];
   }
   return static_cast<float>(s);
-}
-
-float MeanAll(const Tensor& a) {
-  GMORPH_CHECK(a.size() > 0);
-  return SumAll(a) / static_cast<float>(a.size());
 }
 
 float MaxAbs(const Tensor& a) {

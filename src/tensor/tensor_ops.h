@@ -27,11 +27,9 @@ namespace gmorph {
 
 // ---- Elementwise (shapes must match exactly) ----
 Tensor Add(const Tensor& a, const Tensor& b);
-Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 void AddInPlace(Tensor& a, const Tensor& b);    // a += b
 void ScaleInPlace(Tensor& a, float s);          // a *= s
-void AxpyInPlace(Tensor& y, float alpha, const Tensor& x);  // y += alpha * x
 
 // ---- Raw GEMM cores (contiguous row-major) ----
 // C[m,n] = A[m,k] * B[k,n]          (+= if accumulate)
@@ -93,12 +91,9 @@ void LinearForwardInto(const Tensor& x, const Tensor& w, const Tensor& b, Tensor
 
 // ---- Softmax over the last dimension ----
 Tensor SoftmaxLastDim(const Tensor& x);
-// Given y = softmax(x) and dL/dy, returns dL/dx.
-Tensor SoftmaxBackwardLastDim(const Tensor& y, const Tensor& grad_y);
 
 // ---- Reductions / misc ----
 float SumAll(const Tensor& a);
-float MeanAll(const Tensor& a);
 float MaxAbs(const Tensor& a);
 // Row-wise argmax for a (rows, cols) tensor.
 std::vector<int> ArgmaxRows(const Tensor& a);

@@ -2,6 +2,7 @@
 // and peak-memory dataflow analyses, the severity policy
 // (--Werror/--Wno/baseline), AnalyzeFile's kind sniffing, and the
 // text/JSON/SARIF renderers.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -390,6 +391,10 @@ TEST(AnalyzeFileTest, SniffsOtherArtifactKinds) {
   EXPECT_EQ(AnalyzeFile(Testdata("quantrecipe_corrupt.txt"), {}).input_kind, "quantrecipe");
   EXPECT_EQ(AnalyzeFile(Testdata("evalcache_corrupt.txt"), {}).input_kind, "evalcache");
   EXPECT_EQ(AnalyzeFile(Testdata("checkpoint_corrupt.ckpt"), {}).input_kind, "checkpoint");
+  const AnalysisReport weights = AnalyzeFile(Testdata("golden_weights.bin"), {});
+  EXPECT_EQ(weights.input_kind, "weights");
+  EXPECT_EQ(weights.exit_code(), 0) << weights.diags.ToString();
+  EXPECT_TRUE(weights.diags.HasRule("weights.summary"));
 }
 
 TEST(AnalyzeFileTest, MissingFileIsUnreadable) {
@@ -530,6 +535,49 @@ TEST(RendererTest, SarifAndTextAgreeOnFiredRuleIds) {
     EXPECT_NE(text.find("[" + d.rule_id + "]"), std::string::npos) << d.rule_id;
     EXPECT_NE(sarif.find("\"ruleId\": \"" + d.rule_id + "\""), std::string::npos) << d.rule_id;
   }
+}
+
+// Strict UTF-8 check: decodes each sequence and rejects stray continuation
+// bytes, overlong forms, surrogates and code points past U+10FFFF.
+bool IsValidUtf8(const std::string& text) {
+  constexpr uint32_t kMinCodePoint[] = {0, 0x80, 0x800, 0x10000};
+  for (size_t i = 0; i < text.size();) {
+    const auto lead = static_cast<unsigned char>(text[i]);
+    int extra = -1;  // continuation bytes the lead byte announces
+    if (lead < 0x80) {
+      extra = 0;
+    } else if (lead >= 0xc0 && lead < 0xf8) {
+      extra = lead < 0xe0 ? 1 : lead < 0xf0 ? 2 : 3;
+    }
+    if (extra < 0 || text.size() - i <= static_cast<size_t>(extra)) {
+      return false;
+    }
+    uint32_t code_point = extra == 0 ? lead : lead & (0x3fu >> extra);
+    for (int k = 1; k <= extra; ++k) {
+      const auto next = static_cast<unsigned char>(text[i + static_cast<size_t>(k)]);
+      if ((next & 0xc0) != 0x80) {
+        return false;
+      }
+      code_point = (code_point << 6) | (next & 0x3fu);
+    }
+    if (code_point < kMinCodePoint[extra] || code_point > 0x10ffff ||
+        (code_point >= 0xd800 && code_point <= 0xdfff)) {
+      return false;
+    }
+    i += static_cast<size_t>(extra) + 1;
+  }
+  return true;
+}
+
+// The checkpoint linter quotes a bad header line verbatim; this one holds
+// 0xff 0xfe, which no UTF-8 text contains.
+TEST(RendererTest, SarifOfABinaryHeaderLineIsValidUtf8) {
+  const AnalysisReport report = AnalyzeFile(Testdata("checkpoint_bad_header.ckpt"), {});
+  EXPECT_EQ(report.exit_code(), 1);
+  const std::string sarif = RenderAnalysisSarif(report);
+  EXPECT_TRUE(IsValidUtf8(sarif)) << sarif;
+  EXPECT_NE(sarif.find("v1\\u00ff\\u00fe\\u0001\\u0002'"), std::string::npos) << sarif;
+  EXPECT_FALSE(IsValidUtf8("\xff"));
 }
 
 }  // namespace

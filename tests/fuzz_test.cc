@@ -223,9 +223,10 @@ TEST(SerializationFuzzTest, CorruptGraphsRejectedOrHarmless) {
 
 // Byte flips, truncations and overwritten header words of a saved weight
 // file must never throw: LoadWeights either rejects the file (leaving the
-// output empty) or the damage missed the file's structure. Every declared
-// count and size is bounded by the bytes left in the file, so no mutant can
-// make the loader allocate more than the file could fill.
+// output empty) or the damage missed the file's structure, and the weight
+// linter agrees with its verdict. Every declared count and size is bounded by
+// the bytes left in the file, so no mutant can make the loader allocate more
+// than the file could fill.
 TEST(SerializationFuzzTest, CorruptWeightsRejectedOrHarmless) {
   Rng rng(31);
   VisionModelOptions opts;
@@ -273,6 +274,7 @@ TEST(SerializationFuzzTest, CorruptWeightsRejectedOrHarmless) {
     if (!ok) {
       EXPECT_TRUE(loaded.empty()) << "mutant " << i;
     }
+    EXPECT_EQ(ok, VerifyWeightsFile(cpath).ok()) << "mutant " << i;
   }
   std::filesystem::remove_all(dir);
 }
@@ -319,6 +321,7 @@ TEST(SerializationFuzzTest, OverwrittenWordsAllocateNoMoreThanTheFile) {
       EXPECT_LE(Tensor::TotalAllocatedBytes() - before, static_cast<int64_t>(mutant.size()))
           << "weights word " << at / sizeof(word) << " = " << word;
       EXPECT_TRUE(ok || loaded.empty());
+      EXPECT_EQ(ok, VerifyWeightsFile(path).ok()) << "weights word " << at / sizeof(word);
     }
   }
   std::filesystem::remove_all(dir);

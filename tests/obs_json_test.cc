@@ -72,6 +72,14 @@ TEST(ObsJsonWriterTest, EscapesKeysAndStrings) {
   EXPECT_EQ(w.Take(), R"({"k\"1":"a\"b\\c\nd\te\rf\u0001g\u001f"})");
 }
 
+TEST(ObsJsonWriterTest, EscapesEveryByteOfMalformedUtf8) {
+  obs::JsonWriter w(obs::kCompactJson);
+  // A lone continuation byte, a 3-byte sequence cut short, and '/' in an
+  // overlong 2-byte form, between a well-formed é and →.
+  w.String("\xc3\xa9 \x80 \xe2\x82x \xc0\xaf \xe2\x86\x92");
+  EXPECT_EQ(w.Take(), "\"\xc3\xa9 \\u0080 \\u00e2\\u0082x \\u00c0\\u00af \xe2\x86\x92\"");
+}
+
 TEST(ObsJsonWriterTest, RawInsertsARenderedValue) {
   obs::JsonWriter w(obs::kSpacedJson);
   w.BeginObject().Key("snapshot").Raw(R"({"counters":{}})").Key("n").Int(2).EndObject();

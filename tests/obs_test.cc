@@ -1,5 +1,6 @@
 // Tests for the observability subsystem (src/obs/): tracing ring buffers and
-// Chrome-trace export, metrics registry, and the disabled fast path.
+// Chrome-trace export, metrics registry, the disabled fast path, and the
+// interleaved timing loop.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -12,10 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/check.h"
 #include "src/common/thread_pool.h"
+#include "src/core/model_parser.h"
+#include "src/core/multitask_model.h"
+#include "src/models/zoo.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timing.h"
 #include "src/obs/trace.h"
+#include "src/runtime/fused_engine.h"
 
 namespace gmorph {
 namespace {
@@ -449,6 +455,32 @@ TEST(ObsTimingTest, MonotonicNowAdvances) {
   const int64_t b = MonotonicNowNs();
   EXPECT_GE(b, a);
   EXPECT_GE(a, 0);
+}
+
+// Two fused engines over one model run the same plan on the same weights, so
+// the interleaved loop must time them as equals.
+TEST(ObsTimingTest, InterleavedSelfPairReadsOneToOne) {
+  Rng rng(8);
+  VisionModelOptions opts;
+  opts.base_width = 8;
+  opts.classes = 4;
+  AbsGraph g = ParseModelSpecs({MakeVgg13(opts)});
+  MultiTaskModel model(g, rng);
+  FusedEngine a(&model);
+  FusedEngine b(&model);
+  const Tensor x = Tensor::Zeros(g.node(g.root()).output_shape.WithBatch(4));
+  const std::vector<double> ms =
+      InterleavedMediansMs({[&] { a.Run(x); }, [&] { b.Run(x); }}, /*warmup=*/1, /*repeats=*/31);
+  ASSERT_EQ(ms.size(), 2u);
+  EXPECT_NEAR(ms[0] / ms[1], 1.0, 0.15) << ms[0] << " ms / " << ms[1] << " ms";
+}
+
+TEST(ObsTimingTest, MedianTimedMsIsTheOneCallableCase) {
+  int calls = 0;
+  const double ms = MedianTimedMs([&] { ++calls; }, /*warmup=*/2, /*repeats=*/5);
+  EXPECT_EQ(calls, 7);
+  EXPECT_GE(ms, 0.0);
+  EXPECT_THROW(InterleavedMediansMs({[] {}}, 0, 0), CheckError);
 }
 
 }  // namespace

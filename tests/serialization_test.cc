@@ -96,6 +96,37 @@ TEST_F(SerializationTest, TruncatedWeightsRejected) {
   EXPECT_FALSE(LoadWeights(path, loaded));
 }
 
+// Each weights.* rule of the linter that shares LoadWeights' scan, fired by
+// one file, with the loader's verdict alongside.
+TEST_F(SerializationTest, WeightsLinterFiresEachRule) {
+  const auto write = [&](const std::string& name, const std::string& bytes) {
+    std::ofstream out(Path(name), std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return Path(name);
+  };
+  const auto word = [](int64_t value) {
+    return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const std::string magic = "1WHPROMG";  // "GMORPHW1" as a little-endian word
+  ASSERT_TRUE(SaveWeights(Path("clean.bin"), {{Tensor::Zeros(Shape{2, 3})}, {}}));
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"weights.open", Path("does_not_exist.bin")},
+      {"weights.magic", write("swapped.bin", "GMORPHW1" + word(0))},
+      {"weights.truncated", write("short.bin", magic + word(1))},
+      {"weights.bounds", write("rank.bin", magic + word(1) + word(1) + word(9))},
+      {"weights.summary", Path("clean.bin")},
+  };
+  for (const auto& [rule, path] : cases) {
+    const DiagnosticList diags = VerifyWeightsFile(path);
+    ASSERT_EQ(diags.size(), 1u) << rule << ":\n" << diags.ToString();
+    EXPECT_TRUE(diags.HasRule(rule)) << diags.ToString();
+    std::vector<std::vector<Tensor>> loaded;
+    EXPECT_EQ(LoadWeights(path, loaded), diags.ok()) << rule;
+  }
+  EXPECT_NE(VerifyWeightsFile(Path("clean.bin")).ToString().find("2 groups, 1 tensors, 6 floats"),
+            std::string::npos);
+}
+
 TEST_F(SerializationTest, GraphRoundTripPreservesOutputs) {
   Rng rng(3);
   VisionModelOptions opts;

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <vector>
 
-#include "src/obs/timing.h"
 #include "src/tensor/tensor_ops.h"
 
 namespace gmorph::testing {
@@ -62,27 +61,6 @@ void GradCheckModule(Module& module, const Tensor& x, float tolerance, Rng& rng,
           << "param " << p->name << " grad at flat index " << i;
     }
   }
-}
-
-std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
-                                               const std::function<void()>& b, int runs) {
-  a();
-  b();
-  std::vector<double> a_ms;
-  std::vector<double> b_ms;
-  for (int i = 0; i < runs; ++i) {
-    Timer ta;
-    a();
-    a_ms.push_back(ta.Millis());
-    Timer tb;
-    b();
-    b_ms.push_back(tb.Millis());
-  }
-  const auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + static_cast<ptrdiff_t>(v.size() / 2), v.end());
-    return v[v.size() / 2];
-  };
-  return {median(a_ms), median(b_ms)};
 }
 
 std::vector<std::pair<std::string, int64_t>> HostileCheckpointCounts(const std::string& clean) {

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -33,13 +32,6 @@ inline float MaxDiff(const Tensor& a, const Tensor& b) {
 // `tolerance` is the max allowed absolute error.
 void GradCheckModule(Module& module, const Tensor& x, float tolerance, Rng& rng,
                      float epsilon = 1e-3f);
-
-// Median wall times in ms of `a` and `b`, timed alternately `runs` times each
-// after one warm-up call of each. Interleaving exposes both sides to the same
-// host load; two loops timed one after the other do not, and a steal burst
-// during one of them flips a ratio check.
-std::pair<double, double> InterleavedMediansMs(const std::function<void()>& a,
-                                               const std::function<void()>& b, int runs);
 
 // `clean` holds a checkpoint whose trace, fingerprint, elite and
 // non-promising lists are empty. Returns three copies of it whose trace,

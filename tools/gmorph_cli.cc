@@ -93,11 +93,12 @@
 //
 // --verify lints a file through the unified analysis driver
 // (src/analysis/driver.h) and exits nonzero on any error diagnostic. The file
-// kind is sniffed from its head (binary graph magic, or the shared
-// "gmorph-<kind> vN" header line); unknown files fall back to being parsed as
-// a search config naming a benchmark, whose graph is built, verified, lowered
-// and plan-checked. Plans additionally run the dtype-propagation analysis
-// (plan.dtype.*) and the peak-memory certifier (plan.mem.*).
+// kind is sniffed from its head (binary graph or weight-file magic, or the
+// shared "gmorph-<kind> vN" header line); unknown files fall back to being
+// parsed as a search config naming a benchmark, whose graph is built,
+// verified, lowered and plan-checked. Plans additionally run the
+// dtype-propagation analysis (plan.dtype.*) and the peak-memory certifier
+// (plan.mem.*).
 //   --list-rules          print the full rule catalog and exit;
 //   --format=F            text (default) | json | sarif (SARIF 2.1.0);
 //   --Werror=<rule|pfx>   promote matching warnings to errors;
@@ -745,8 +746,8 @@ int main(int argc, char** argv) {
                  "       %s --verify [--list-rules] [--format=text|json|sarif]\n"
                  "                [--Werror=<rule|prefix>] [--Wno=<rule|prefix>]\n"
                  "                [--baseline=<file>]\n"
-                 "                <graph|plan|config|evalcache|checkpoint|tunedb|quantrecipe|"
-                 "machine>\n"
+                 "                <graph|weights|plan|config|evalcache|checkpoint|tunedb|"
+                 "quantrecipe|machine>\n"
                  "       %s --print-default-config > gmorph.cfg\n",
                  argv[0], argv[0], argv[0], argv[0], argv[0], argv[0], argv[0], argv[0],
                  argv[0], argv[0]);
